@@ -58,7 +58,7 @@
 // retry_after_ms=<n>`), --deadline-ms imposes a default per-request
 // deadline (`err deadline_exceeded`), --max-connections caps live socket
 // connections in the reactor's epoll set (excess connections get the
-// overload advisory in their own encoding and are closed), --dispatch-
+// overload advisory at their first byte and are closed), --dispatch-
 // threads sizes the model-work pool behind the reactor (0 = default 16),
 // --listen-backlog overrides the SOMAXCONN accept queue (0 = SOMAXCONN),
 // and the REBERT_FAULTS environment variable
@@ -446,9 +446,6 @@ int cmd_serve(const util::FlagParser& flags) {
   // 0 = the built-in defaults: SOMAXCONN backlog, 16 dispatch threads.
   loop.set_listen_backlog(flags.get_int("listen-backlog", 0));
   loop.set_dispatch_threads(flags.get_int("dispatch-threads", 0));
-  // --binary false turns the wire protocol away at negotiation; the text
-  // protocol is always served.
-  loop.set_accept_binary(flags.get_bool("binary", true));
   const std::string cache_file = flags.get("cache-file", "");
   if (!cache_file.empty()) {
     engine.load_cache(cache_file);  // cold start on missing/corrupt
@@ -639,21 +636,16 @@ int cmd_call(const util::FlagParser& flags) {
   // The pair-wise parser turns "--retry recover b03" into retry="recover":
   // the first request token swallowed as the flag's value. A value that is
   // not a boolean token is really the start of the request — restore it and
-  // treat the flag as bare. Same treatment for --binary.
-  const auto bare_flag = [&flags, &line](const char* name) {
-    if (!flags.has(name)) return false;
-    if (flags.get_bool(name, false)) return true;
-    const std::string raw = flags.get(name, "");
+  // treat the flag as bare.
+  bool retry = flags.get_bool("retry", false);
+  if (flags.has("retry") && !retry) {
+    const std::string raw = flags.get("retry", "");
     const std::string v = util::to_lower(raw);
     if (!v.empty() && v != "false" && v != "0" && v != "no" && v != "off") {
-      if (!line.empty()) line += ' ';
-      line += raw;
-      return true;
+      line = raw;
+      retry = true;
     }
-    return false;  // explicit --name false
-  };
-  const bool retry = bare_flag("retry");
-  const bool binary = bare_flag("binary");
+  }
   const auto& positional = flags.positional();
   for (std::size_t i = 1; i < positional.size(); ++i) {
     if (!line.empty()) line += ' ';
@@ -663,13 +655,9 @@ int cmd_call(const util::FlagParser& flags) {
     std::fprintf(stderr, "call: no request given (try: call ... health)\n");
     return 2;
   }
-  serve::ClientOptions client_options;
-  client_options.binary = binary;
-  serve::Client client(socket_path, client_options);
+  serve::Client client(socket_path);
   if (!client.connect()) {
-    std::fprintf(stderr, "call: cannot connect to %s%s\n",
-                 socket_path.c_str(),
-                 binary ? " (binary negotiation included)" : "");
+    std::fprintf(stderr, "call: cannot connect to %s\n", socket_path.c_str());
     return 1;
   }
   const std::string response =
@@ -887,7 +875,7 @@ constexpr Subcommand kSubcommands[] = {
      "[--cache-file cache.rbpc] [--snapshot-every 64] [--max-inflight 0] "
      "[--max-inflight-per-bench 0] [--retry-after-ms 50] "
      "[--deadline-ms 0] [--max-connections 64] [--listen-backlog 0] "
-     "[--dispatch-threads 0] [--binary true|false]",
+     "[--dispatch-threads 0]",
      cmd_serve},
     {"route",
      "--socket /tmp/router.sock [--backends 2 | --backend-sockets "
@@ -898,7 +886,7 @@ constexpr Subcommand kSubcommands[] = {
      "<file>.backendN]",
      cmd_route},
     {"call",
-     "--socket /tmp/router.sock [--retry] [--binary] <request tokens...>",
+     "--socket /tmp/router.sock [--retry] <request tokens...>",
      cmd_call},
     {"convert-snapshot", "--in cache.rbpc --out cache2.rbpc [--to v2|v1]",
      cmd_convert_snapshot},

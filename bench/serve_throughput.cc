@@ -17,9 +17,6 @@
 // The QPS loop goes over a real AF_UNIX socket through a shared
 // serve::ClientPool (the same reuse layer the router's backend links use),
 // so the measured latency includes the full transport, not just the engine.
-// Each thread count is measured twice — once over the text protocol, once
-// over the negotiated binary wire protocol — so the framing overhead is a
-// column, not a guess (acceptance: binary p50 no worse than text).
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
@@ -72,11 +69,11 @@ int main() {
   std::printf("=== Serve throughput: %s (scale %.2f), %d requests, "
               "%d client(s) ===\n",
               bench.c_str(), setup.scale, requests, clients);
-  util::TextTable table({"threads", "enc", "qps", "p50 (ms)", "p95 (ms)",
+  util::TextTable table({"threads", "qps", "p50 (ms)", "p95 (ms)",
                          "recover (s)", "speedup"});
   util::CsvWriter csv("serve_throughput.csv",
-                      {"threads", "enc", "qps", "p50_ms", "p95_ms",
-                       "recover_s", "speedup"});
+                      {"threads", "qps", "p50_ms", "p95_ms", "recover_s",
+                       "speedup"});
 
   double serial_recover = 0.0;
   for (const int threads : thread_counts) {
@@ -108,67 +105,58 @@ int main() {
                                ? serial_recover / result.recover_seconds
                                : 0.0;
 
-    // Same server, same workload seeds, both encodings: the only variable
-    // between the two rows is the framing on the wire.
-    for (const bool binary : {false, true}) {
-      serve::ClientOptions client_options;
-      client_options.binary = binary;
-      serve::ClientPool pool(socket_path, client_options);
-
-      std::atomic<int> next{0};
-      std::vector<std::vector<double>> latencies(
-          static_cast<std::size_t>(clients));
-      util::WallTimer wall;
-      std::vector<std::thread> workers;
-      for (int c = 0; c < clients; ++c) {
-        workers.emplace_back([&, c] {
-          util::Rng rng(0xbe6cULL + static_cast<std::uint64_t>(c));
-          std::vector<double>& mine =
-              latencies[static_cast<std::size_t>(c)];
-          while (next.fetch_add(1) < requests) {
-            const std::string& a = bits[static_cast<std::size_t>(
-                rng.uniform_int(0, num_bits - 1))];
-            const std::string& b = bits[static_cast<std::size_t>(
-                rng.uniform_int(0, num_bits - 1))];
-            const std::string line = "score " + bench + " " + a + " " + b;
-            util::WallTimer request_timer;
-            serve::ClientPool::Lease lease = pool.acquire();
-            if (!lease) continue;
-            try {
-              (void)lease->request(line);
-            } catch (const std::exception&) {
-              lease.discard();
-              continue;
-            }
-            mine.push_back(request_timer.seconds());
+    serve::ClientPool pool(socket_path);
+    std::atomic<int> next{0};
+    std::vector<std::vector<double>> latencies(
+        static_cast<std::size_t>(clients));
+    util::WallTimer wall;
+    std::vector<std::thread> workers;
+    for (int c = 0; c < clients; ++c) {
+      workers.emplace_back([&, c] {
+        util::Rng rng(0xbe6cULL + static_cast<std::uint64_t>(c));
+        std::vector<double>& mine = latencies[static_cast<std::size_t>(c)];
+        while (next.fetch_add(1) < requests) {
+          const std::string& a = bits[static_cast<std::size_t>(
+              rng.uniform_int(0, num_bits - 1))];
+          const std::string& b = bits[static_cast<std::size_t>(
+              rng.uniform_int(0, num_bits - 1))];
+          const std::string line = "score " + bench + " " + a + " " + b;
+          util::WallTimer request_timer;
+          serve::ClientPool::Lease lease = pool.acquire();
+          if (!lease) continue;
+          try {
+            (void)lease->request(line);
+          } catch (const std::exception&) {
+            lease.discard();
+            continue;
           }
-        });
-      }
-      for (std::thread& worker : workers) worker.join();
-      const double elapsed = wall.seconds();
-
-      std::vector<double> all;
-      for (const std::vector<double>& client : latencies)
-        all.insert(all.end(), client.begin(), client.end());
-      std::sort(all.begin(), all.end());
-      result.qps = static_cast<double>(all.size()) / elapsed;
-      result.p50_ms = 1000.0 * percentile(all, 0.50);
-      result.p95_ms = 1000.0 * percentile(all, 0.95);
-
-      const char* enc = binary ? "binary" : "text";
-      table.add_row({std::to_string(threads), enc,
-                     util::format_double(result.qps, 1),
-                     util::format_double(result.p50_ms, 3),
-                     util::format_double(result.p95_ms, 3),
-                     util::format_double(result.recover_seconds, 3),
-                     util::format_double(speedup, 2) + "x"});
-      csv.add_row({std::to_string(threads), enc,
-                   util::format_double(result.qps, 1),
-                   util::format_double(result.p50_ms, 4),
-                   util::format_double(result.p95_ms, 4),
-                   util::format_double(result.recover_seconds, 4),
-                   util::format_double(speedup, 2)});
+          mine.push_back(request_timer.seconds());
+        }
+      });
     }
+    for (std::thread& worker : workers) worker.join();
+    const double elapsed = wall.seconds();
+
+    std::vector<double> all;
+    for (const std::vector<double>& client : latencies)
+      all.insert(all.end(), client.begin(), client.end());
+    std::sort(all.begin(), all.end());
+    result.qps = static_cast<double>(all.size()) / elapsed;
+    result.p50_ms = 1000.0 * percentile(all, 0.50);
+    result.p95_ms = 1000.0 * percentile(all, 0.95);
+
+    table.add_row({std::to_string(threads),
+                   util::format_double(result.qps, 1),
+                   util::format_double(result.p50_ms, 3),
+                   util::format_double(result.p95_ms, 3),
+                   util::format_double(result.recover_seconds, 3),
+                   util::format_double(speedup, 2) + "x"});
+    csv.add_row({std::to_string(threads),
+                 util::format_double(result.qps, 1),
+                 util::format_double(result.p50_ms, 4),
+                 util::format_double(result.p95_ms, 4),
+                 util::format_double(result.recover_seconds, 4),
+                 util::format_double(speedup, 2)});
     loop.stop();
     server.join();
   }

@@ -34,9 +34,9 @@ using CacheRecord = std::pair<std::uint64_t, double>;
 inline constexpr char kSnapshotMagic[4] = {'R', 'B', 'P', 'C'};
 inline constexpr std::uint32_t kSnapshotVersion = 1;
 
-/// FNV-1a over `size` bytes — the checksum every persist artifact (and
-/// the binary wire protocol) uses, exposed so the formats share one
-/// implementation and the tests can cross-check it.
+/// FNV-1a over `size` bytes — the checksum every persist artifact uses,
+/// exposed so the formats share one implementation and the tests can
+/// cross-check it.
 std::uint64_t fnv1a(const void* data, std::size_t size);
 
 /// Streaming form: fold `size` more bytes into a running FNV-1a state.

@@ -38,14 +38,7 @@ Router::Router(RouterOptions options)
             return serve::format_overloaded(options_.retry_after_ms);
           },
           /*on_answered=*/nullptr,
-          /*on_shutdown=*/nullptr,
-          /*handle_frame=*/[this](const wire::Frame& frame, bool* close) {
-            return handle_frame(frame, close);
-          },
-          /*overload_frame=*/[this] {
-            return wire::encode_response(
-                wire::overloaded_response(options_.retry_after_ms));
-          }}),
+          /*on_shutdown=*/nullptr}),
       ring_(options_.vnodes) {
   if (options_.dispatch_threads > 0)
     socket_server_.set_dispatch_threads(options_.dispatch_threads);
@@ -68,13 +61,6 @@ void Router::add_backend(const std::string& name,
   backend->weight = weight;
   backend->pool = std::make_unique<serve::ClientPool>(
       socket_path, options_.client, options_.pool_max_idle);
-  // A second pool of binary-negotiated connections for frame relay; built
-  // lazily on first use like any pooled connection, so a text-only backend
-  // deployment never pays for it.
-  serve::ClientOptions wire_options = options_.client;
-  wire_options.binary = true;
-  backend->wire_pool = std::make_unique<serve::ClientPool>(
-      socket_path, wire_options, options_.pool_max_idle);
   // Ring first: add() validates the weight, and a throw must leave the
   // backend map untouched.
   ring_.add(name, weight);
@@ -130,7 +116,6 @@ void Router::mark_unhealthy(const std::string& name) {
   // Pooled connections to a dead backend are all stale; drop them so a
   // revival starts from fresh sockets.
   it->second->pool->clear_idle();
-  it->second->wire_pool->clear_idle();
   backends_failed_.fetch_add(1, std::memory_order_relaxed);
   LOG_WARN << "router: backend " << name
            << " marked unhealthy; ring rebalanced";
@@ -166,30 +151,6 @@ bool Router::try_backend(Backend& backend, const std::string& line,
   if (!fresh) return false;
   try {
     *reply = fresh->request(line);
-    return true;
-  } catch (const std::exception&) {
-    fresh.discard();
-    return false;
-  }
-}
-
-bool Router::try_backend_frame(Backend& backend, const std::string& raw,
-                               wire::Frame* reply) {
-  serve::ClientPool::Lease lease = backend.wire_pool->acquire();
-  if (lease) {
-    try {
-      *reply = lease->request_frame(raw);
-      return true;
-    } catch (const std::exception&) {
-      // Same stale-vs-dead discipline as the text path: one fresh socket
-      // (with a fresh hello handshake) decides before the ring rebalances.
-      lease.discard();
-    }
-  }
-  serve::ClientPool::Lease fresh = backend.wire_pool->acquire_fresh();
-  if (!fresh) return false;
-  try {
-    *reply = fresh->request_frame(raw);
     return true;
   } catch (const std::exception&) {
     fresh.discard();
@@ -234,9 +195,8 @@ bool Router::acquire_queue_slot() {
   return false;
 }
 
-std::string Router::forward_common(const std::string& payload,
-                                   const std::string& bench, bool mirrorable,
-                                   bool is_frame, const ForwardCodec& codec) {
+std::string Router::forward(const std::string& line, const std::string& bench,
+                            bool mirrorable) {
   const auto deadline =
       std::chrono::steady_clock::now() +
       std::chrono::milliseconds(options_.queue_timeout_ms);
@@ -258,20 +218,20 @@ std::string Router::forward_common(const std::string& payload,
       bool ring_changed = false;
       for (std::size_t i = 0; i < owners.size(); ++i) {
         std::string reply;
-        if (!codec.send(*owners[i], payload, &reply)) {
+        if (!try_backend(*owners[i], line, &reply)) {
           mark_unhealthy(owners[i]->name);
           reroutes_.fetch_add(1, std::memory_order_relaxed);
           ring_changed = true;
           continue;
         }
-        if (codec.is_overloaded(reply)) {
+        if (util::starts_with(reply, "err overloaded")) {
           saw_shed = true;
           last_shed = std::move(reply);  // freshest advisory wins
           continue;
         }
         forwarded_.fetch_add(1, std::memory_order_relaxed);
         if (i > 0) replica_hits_.fetch_add(1, std::memory_order_relaxed);
-        if (mirrorable) enqueue_mirror(payload, is_frame, owners, i);
+        if (mirrorable) enqueue_mirror(line, owners, i);
         return leave(std::move(reply));
       }
       // Every live owner shed: re-walking the same list immediately would
@@ -285,11 +245,12 @@ std::string Router::forward_common(const std::string& payload,
         return leave(std::move(last_shed));
       }
       no_backend_errors_.fetch_add(1, std::memory_order_relaxed);
-      return leave(codec.no_backend());
+      return leave(serve::format_no_backend(options_.retry_after_ms));
     }
     if (!parked) {
+      // Bounded: a full queue sheds at the door with the router's advisory.
       if (!acquire_queue_slot())
-        return leave(codec.queue_full());  // bounded: shed at the door
+        return leave(serve::format_overloaded(options_.retry_after_ms));
       parked = true;
       queued_.fetch_add(1, std::memory_order_relaxed);
     }
@@ -300,7 +261,7 @@ std::string Router::forward_common(const std::string& payload,
         forwarded_.fetch_add(1, std::memory_order_relaxed);
         return leave(std::move(last_shed));
       }
-      return leave(codec.deadline_exceeded());
+      return leave(serve::format_error("deadline_exceeded"));
     }
     const auto remaining =
         std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now)
@@ -311,69 +272,7 @@ std::string Router::forward_common(const std::string& payload,
   }
 }
 
-std::string Router::forward(const std::string& line, const std::string& bench,
-                            bool mirrorable) {
-  ForwardCodec codec;
-  codec.send = [this](Backend& backend, const std::string& payload,
-                      std::string* reply) {
-    return try_backend(backend, payload, reply);
-  };
-  codec.is_overloaded = [](const std::string& reply) {
-    return util::starts_with(reply, "err overloaded");
-  };
-  codec.no_backend = [this] {
-    return serve::format_error("no_backend retry_after_ms=" +
-                               std::to_string(options_.retry_after_ms));
-  };
-  codec.queue_full = [this] {
-    return serve::format_overloaded(options_.retry_after_ms);
-  };
-  codec.deadline_exceeded = [] {
-    return serve::format_error("deadline_exceeded");
-  };
-  return forward_common(line, bench, mirrorable, /*is_frame=*/false, codec);
-}
-
-std::string Router::forward_frame(const std::string& raw,
-                                  const std::string& bench, wire::Verb verb,
-                                  bool mirrorable) {
-  // forward_common moves reply bytes around as strings; `last` keeps the
-  // decoded twin of the most recent reply so is_overloaded can inspect it
-  // without re-parsing the frame. The codec never outlives this call.
-  wire::Frame last;
-  ForwardCodec codec;
-  codec.send = [this, &last](Backend& backend, const std::string& payload,
-                             std::string* reply) {
-    if (!try_backend_frame(backend, payload, &last)) return false;
-    *reply = last.raw;  // verbatim: overload / degraded flags included
-    return true;
-  };
-  codec.is_overloaded = [&last](const std::string&) {
-    if (last.type != wire::FrameType::kResponse) return false;
-    wire::Response response;
-    std::string error;
-    return wire::decode_response_payload(last.payload, &response, &error) &&
-           response.code == wire::ErrorCode::kOverloaded;
-  };
-  codec.no_backend = [this, verb] {
-    wire::Response refusal =
-        wire::no_backend_response(options_.retry_after_ms);
-    refusal.verb = verb;
-    return wire::encode_response(refusal);
-  };
-  codec.queue_full = [this, verb] {
-    wire::Response refusal =
-        wire::overloaded_response(options_.retry_after_ms);
-    refusal.verb = verb;
-    return wire::encode_response(refusal);
-  };
-  codec.deadline_exceeded = [verb] {
-    return wire::encode_response(wire::deadline_response(verb));
-  };
-  return forward_common(raw, bench, mirrorable, /*is_frame=*/true, codec);
-}
-
-void Router::enqueue_mirror(const std::string& payload, bool is_frame,
+void Router::enqueue_mirror(const std::string& line,
                             const std::vector<Backend*>& owners,
                             std::size_t answered) {
   if (options_.mirror_queue_depth == 0 || options_.replicas <= 1) return;
@@ -397,7 +296,7 @@ void Router::enqueue_mirror(const std::string& payload, bool is_frame,
     mirror_dropped_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  mirror_queue_.push_back(MirrorItem{target->name, payload, is_frame});
+  mirror_queue_.push_back(MirrorItem{target->name, line});
   mirror_cv_.notify_all();
 }
 
@@ -414,17 +313,8 @@ bool Router::replay_mirror(const MirrorItem& item) {
   if (backend == nullptr) return false;  // target died since the enqueue
   // A replay failure is just a lost warm-up: membership transitions stay
   // the prober's job, so the mirror thread never rebalances the ring.
-  if (item.is_frame) {
-    wire::Frame reply;
-    if (!try_backend_frame(*backend, item.payload, &reply)) return false;
-    if (reply.type != wire::FrameType::kResponse) return false;
-    wire::Response response;
-    std::string error;
-    return wire::decode_response_payload(reply.payload, &response, &error) &&
-           response.status == wire::Status::kOk;
-  }
   std::string reply;
-  return try_backend(*backend, item.payload, &reply) &&
+  return try_backend(*backend, item.line, &reply) &&
          util::starts_with(reply, "ok");
 }
 
@@ -481,47 +371,6 @@ void Router::stop_mirror() {
     mirror_cv_.notify_all();
   }
   if (mirror_worker_.joinable()) mirror_worker_.join();
-}
-
-std::string Router::handle_frame(const wire::Frame& frame, bool* close) {
-  wire::Request request;
-  std::string error;
-  if (!wire::decode_request_payload(frame.payload, &request, &error)) {
-    // Answer this request with an error frame; the connection survives
-    // (the frame itself checksummed clean, only the message was bad).
-    return wire::encode_response(
-        wire::error_response(wire::Verb::kHelp, std::move(error)));
-  }
-  try {
-    switch (request.verb) {
-      case wire::Verb::kScore:
-      case wire::Verb::kRecover:
-        // Relay the exact bytes we received — never re-encode.
-        return forward_frame(frame.raw, request.bench, request.verb,
-                             request.verb == wire::Verb::kScore);
-      case wire::Verb::kStats:
-        return wire::encode_response(
-            wire::ok_response(request.verb, format_stats()));
-      case wire::Verb::kHealth:
-        return wire::encode_response(
-            wire::ok_response(request.verb, format_health()));
-      case wire::Verb::kHelp:
-        return wire::encode_response(wire::ok_response(
-            request.verb,
-            serve::help_text() +
-                "; router: backends | owners <bench> | drain <name> | "
-                "undrain <name>"));
-      case wire::Verb::kQuit:
-        if (close) *close = true;
-        return wire::encode_response(
-            wire::ok_response(request.verb, "bye"));
-    }
-    return wire::encode_response(
-        wire::error_response(request.verb, "unreachable"));
-  } catch (const std::exception& e) {
-    return wire::encode_response(
-        wire::error_response(request.verb, single_line(e.what())));
-  }
 }
 
 std::string Router::handle_line(const std::string& line, bool* quit) {

@@ -52,13 +52,6 @@
 //   undrain <name>      to put it back
 //   stats / health      router-level counters and ring state
 //   help / quit         as a backend, plus the admin verbs
-//
-// The router also accepts the binary wire protocol (wire/frame.h):
-// score/recover request frames are relayed to the owning backend
-// byte-for-byte over a second, binary-negotiated connection pool — the
-// router never re-encodes a frame in either direction, so backend
-// overload and degraded flags arrive exactly as sent. The text admin
-// verbs stay text-only.
 #pragma once
 
 #include <atomic>
@@ -75,8 +68,6 @@
 #include "serve/client_pool.h"
 #include "serve/socket_server.h"
 #include "util/mutex.h"
-#include "wire/frame.h"
-#include "wire/message.h"
 
 namespace rebert::router {
 
@@ -161,13 +152,6 @@ class Router {
   /// *quit on a quit request.
   std::string handle_line(const std::string& line, bool* quit);
 
-  /// Binary-side dispatch: score/recover frames are relayed to the ring
-  /// owner byte-for-byte (Frame.raw, never re-encoded, so backend overload
-  /// and degraded semantics pass through untouched); stats/health/help/
-  /// quit are answered locally as frames. Returns the complete response
-  /// frame bytes. Never throws.
-  std::string handle_frame(const wire::Frame& frame, bool* close);
-
   /// The backend name currently owning `bench`, "" when the ring is empty.
   /// What the placement tests and the kill-drill assert against.
   std::string backend_for(const std::string& bench) const EXCLUDES(mu_);
@@ -213,44 +197,21 @@ class Router {
     std::string name;
     std::string socket_path;
     double weight = 1.0;
-    std::unique_ptr<serve::ClientPool> pool;       // text connections
-    std::unique_ptr<serve::ClientPool> wire_pool;  // negotiated binary
+    std::unique_ptr<serve::ClientPool> pool;
     std::atomic<bool> healthy{true};
     std::atomic<bool> drained{false};
   };
 
-  /// One mirror replay: the payload re-sent to the secondary owner.
+  /// One mirror replay: the request line re-sent to the secondary owner.
   struct MirrorItem {
-    std::string target;   // backend name (resolved again at replay time)
-    std::string payload;  // text line or raw frame bytes
-    bool is_frame = false;
+    std::string target;  // backend name (resolved again at replay time)
+    std::string line;
   };
 
-  /// Per-encoding hooks for the shared forward loop: how to reach a
-  /// backend, recognise a shed answer, and build the router's refusals.
-  struct ForwardCodec {
-    std::function<bool(Backend&, const std::string&, std::string*)> send;
-    std::function<bool(const std::string&)> is_overloaded;
-    std::function<std::string()> no_backend;
-    std::function<std::string()> queue_full;
-    std::function<std::string()> deadline_exceeded;
-  };
-
-  /// The one forwarding state machine behind both encodings: owner-list
-  /// failover, mirror enqueue, queue-with-timeout parking.
-  std::string forward_common(const std::string& payload,
-                             const std::string& bench, bool mirrorable,
-                             bool is_frame, const ForwardCodec& codec)
-      EXCLUDES(mu_);
-
-  /// Forward `line` to the owners of `bench` (text codec).
+  /// Forward `line` to the owners of `bench`: owner-list failover, mirror
+  /// enqueue (when `mirrorable`), queue-with-timeout parking.
   std::string forward(const std::string& line, const std::string& bench,
                       bool mirrorable) EXCLUDES(mu_);
-
-  /// forward()'s binary twin: relay raw frame bytes to the owners of
-  /// `bench`; `verb` only shapes the local refusals.
-  std::string forward_frame(const std::string& raw, const std::string& bench,
-                            wire::Verb verb, bool mirrorable) EXCLUDES(mu_);
 
   /// Snapshot the bench's owner list as live Backend pointers, purging
   /// ring entries with no backend record (ring/map divergence must not
@@ -263,14 +224,9 @@ class Router {
   bool try_backend(Backend& backend, const std::string& line,
                    std::string* reply);
 
-  /// try_backend over the binary pool; *reply gets the backend's response
-  /// frame verbatim (raw bytes plus the decoded header/payload).
-  bool try_backend_frame(Backend& backend, const std::string& raw,
-                         wire::Frame* reply);
-
-  /// Queue the payload for async replay against the first healthy owner
+  /// Queue the line for async replay against the first healthy owner
   /// other than `answered` — drops (counted) when the queue is full.
-  void enqueue_mirror(const std::string& payload, bool is_frame,
+  void enqueue_mirror(const std::string& line,
                       const std::vector<Backend*>& owners,
                       std::size_t answered) EXCLUDES(mirror_mu_);
 

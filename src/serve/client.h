@@ -11,19 +11,14 @@
 // differently-seeded clients still spreads its retries instead of
 // thundering-herding a respawned backend (util/backoff.h).
 //
-// With ClientOptions.binary set, connect() additionally negotiates the
-// binary wire protocol (hello / hello-ack, wire/frame.h) and request()
-// transcodes each text line to a request frame and each response frame
-// back to the exact text line the server would have sent — callers,
-// including request_with_retry's backoff parser, never notice the
-// encoding. Reconnecting after close() re-runs the negotiation from
-// scratch: protocol state never outlives the connection it was agreed on.
+// The peer is untrusted: a response line longer than
+// kMaxResponseLineBytes (protocol.h) throws instead of buffering without
+// bound, so a backend or socket that never sends a newline cannot grow
+// the caller's memory.
 #pragma once
 
 #include <cstdint>
 #include <string>
-
-#include "wire/frame.h"
 
 namespace rebert::serve {
 
@@ -42,18 +37,7 @@ struct ClientOptions {
   /// response (0 when absent).
   int base_backoff_ms = 1;
   int max_backoff_ms = 64;
-  /// Ceiling on the connection-door overload backoff: after a
-  /// frame-encoded shed, connect() sleeps
-  ///   min(max_connect_backoff_ms, max(retry_after_ms, connect_poll_ms))
-  /// so the server's advisory delay is honoured but a buggy or hostile
-  /// server advertising an hour cannot wedge the calling thread.
-  int max_connect_backoff_ms = 2000;
-  /// Speak the binary wire protocol. connect() fails (without burning the
-  /// polling budget) when the server refuses the negotiation — a server
-  /// that answers the hello at all answers it immediately.
-  bool binary = false;
-  /// Deterministic seeded jitter stretching every computed backoff (both
-  /// the request retry backoff and the connection-door overload backoff)
+  /// Deterministic seeded jitter stretching every computed retry backoff
   /// by up to this percentage. 0 (the default) keeps the historic
   /// bit-identical schedule; > 0 de-synchronizes a fleet of clients whose
   /// identical advisories would otherwise re-arrive as one thundering
@@ -84,7 +68,9 @@ class Client {
 
   /// One round-trip: send `line` (newline appended) and return the
   /// response line without its newline. Throws util::CheckError when the
-  /// connection is gone (send failure or EOF mid-response).
+  /// connection is gone (send failure or EOF mid-response) or the
+  /// response line outgrows kMaxResponseLineBytes (the connection is
+  /// closed first: the stream has no resync point).
   std::string request(const std::string& line);
 
   /// Round-trip that retries shed requests per ClientOptions. Returns the
@@ -93,50 +79,20 @@ class Client {
   /// parse_retry_after_ms >= 0).
   std::string request_with_retry(const std::string& line);
 
-  /// Binary connections only: send pre-encoded frame bytes verbatim and
-  /// return the next frame off the stream — the relay primitive the router
-  /// uses to forward without re-encoding (Frame.raw round-trips the exact
-  /// on-stream bytes). Throws util::CheckError on send failure, EOF, or a
-  /// framing error in the response.
-  wire::Frame request_frame(const std::string& frame_bytes);
-
-  /// True once connect() succeeded with options.binary and the hello
-  /// handshake was acknowledged.
-  bool negotiated_binary() const { return negotiated_; }
-
   /// Overload retries performed across the client's lifetime.
   std::uint64_t retries() const { return retries_; }
 
-  /// The server's advisory delay from the most recent connection-level
-  /// overload refusal (a frame-encoded shed at the max_connections door),
-  /// or -1 when no such refusal has been seen. connect() backs off by
-  /// this much (clamped to ClientOptions::max_connect_backoff_ms) before
-  /// re-polling.
-  int last_overload_retry_after_ms() const {
-    return last_overload_retry_after_ms_;
-  }
-
  private:
-  /// How the server answered the hello: acknowledged, refused outright
-  /// (wrong protocol, binary disabled — deterministic, stop polling), or
-  /// shed at the connection door (overloaded — back off and re-poll).
-  enum class Negotiation { kAck, kRefused, kOverloaded };
-
   std::string read_line();
   void send_all(const std::string& bytes);
-  wire::Frame read_frame();
-  Negotiation negotiate();
 
   std::string path_;
   ClientOptions options_;
   std::uint64_t jitter_seed_ = 0;      // resolved from options at ctor
   std::uint64_t jitter_sequence_ = 0;  // numbers every jittered wait
   int fd_ = -1;
-  std::string buffer_;  // text mode: bytes beyond the last returned line
-  wire::FrameReader reader_;  // binary mode: bytes beyond the last frame
-  bool negotiated_ = false;
+  std::string buffer_;  // bytes beyond the last returned line
   std::uint64_t retries_ = 0;
-  int last_overload_retry_after_ms_ = -1;
 };
 
 }  // namespace rebert::serve

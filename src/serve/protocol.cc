@@ -1,9 +1,9 @@
 #include "serve/protocol.h"
 
-#include <limits>
+#include <string>
+#include <string_view>
 #include <vector>
 
-#include "util/check.h"
 #include "util/string_utils.h"
 
 namespace rebert::serve {
@@ -128,20 +128,23 @@ std::string format_overloaded(int retry_after_ms) {
   return "err overloaded retry_after_ms=" + std::to_string(retry_after_ms);
 }
 
+std::string format_no_backend(int retry_after_ms) {
+  return "err no_backend retry_after_ms=" + std::to_string(retry_after_ms);
+}
+
 int parse_retry_after_ms(const std::string& response) {
-  const std::string needle = "retry_after_ms=";
-  const std::size_t at = response.find(needle);
-  if (at == std::string::npos) return -1;
-  std::size_t end = at + needle.size();
-  while (end < response.size() && response[end] >= '0' &&
-         response[end] <= '9')
-    ++end;
-  int value = 0;
-  if (!util::parse_int(response.substr(at + needle.size(),
-                                       end - at - needle.size()),
-                       &value))
-    return -1;
-  return value;
+  // Only the two advisories the protocol defines; searching the whole line
+  // would let an error that echoes user text read as a shed.
+  for (const std::string_view prefix : {"err overloaded retry_after_ms=",
+                                        "err no_backend retry_after_ms="}) {
+    if (!util::starts_with(response, prefix)) continue;
+    const std::string_view digits =
+        std::string_view(response).substr(prefix.size());
+    int value = 0;
+    if (!util::parse_int(digits, &value) || value < 0) return -1;
+    return value;
+  }
+  return -1;
 }
 
 std::string help_text() {
@@ -154,76 +157,6 @@ std::string help_text() {
 std::string format_line_too_long() {
   return format_error("request line exceeds " +
                       std::to_string(kMaxRequestLineBytes) + " bytes");
-}
-
-wire::Request to_wire(const Request& request) {
-  wire::Request out;
-  switch (request.type) {
-    case RequestType::kScore:
-      out.verb = wire::Verb::kScore;
-      break;
-    case RequestType::kRecover:
-      out.verb = wire::Verb::kRecover;
-      break;
-    case RequestType::kStats:
-      out.verb = wire::Verb::kStats;
-      break;
-    case RequestType::kHealth:
-      out.verb = wire::Verb::kHealth;
-      break;
-    case RequestType::kHelp:
-      out.verb = wire::Verb::kHelp;
-      break;
-    case RequestType::kQuit:
-      out.verb = wire::Verb::kQuit;
-      break;
-    case RequestType::kInvalid:
-      REBERT_CHECK_MSG(false,
-                       "an invalid request has no wire encoding: " +
-                           request.error);
-  }
-  out.bench = request.bench;
-  out.bit_a = request.bit_a;
-  out.bit_b = request.bit_b;
-  out.model = request.model;
-  out.deadline_ms = static_cast<std::uint32_t>(request.deadline_ms);
-  return out;
-}
-
-Request from_wire(const wire::Request& request) {
-  Request out;
-  switch (request.verb) {
-    case wire::Verb::kScore:
-      out.type = RequestType::kScore;
-      break;
-    case wire::Verb::kRecover:
-      out.type = RequestType::kRecover;
-      break;
-    case wire::Verb::kStats:
-      out.type = RequestType::kStats;
-      break;
-    case wire::Verb::kHealth:
-      out.type = RequestType::kHealth;
-      break;
-    case wire::Verb::kHelp:
-      out.type = RequestType::kHelp;
-      break;
-    case wire::Verb::kQuit:
-      out.type = RequestType::kQuit;
-      break;
-  }
-  out.bench = request.bench;
-  out.bit_a = request.bit_a;
-  out.bit_b = request.bit_b;
-  out.model = request.model;
-  // An attacker-chosen u32 must not wrap negative through the int field —
-  // a clamped deadline only expires sooner.
-  out.deadline_ms = request.deadline_ms >
-                            static_cast<std::uint32_t>(
-                                std::numeric_limits<int>::max())
-                        ? std::numeric_limits<int>::max()
-                        : static_cast<int>(request.deadline_ms);
-  return out;
 }
 
 }  // namespace rebert::serve

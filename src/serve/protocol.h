@@ -19,6 +19,8 @@
 //                                       retry after the advisory delay
 //   err deadline_exceeded               the request's deadline_ms elapsed
 //                                       before the result was ready
+//   err no_backend retry_after_ms=<n>   (router only) no backend could
+//                                       take the request; retry later
 //
 // A recover that had to fall back to the structural baseline (model
 // failure, numerics tripwire) succeeds with `degraded=structural` appended
@@ -32,18 +34,12 @@
 // <bench> is either a generated-suite name ("b03".."b18", circuitgen
 // scale set by the engine) or a path to a .bench netlist file. Responses
 // never contain newlines, so the protocol stays trivially framable over
-// both stdio and a Unix socket.
-// The same protocol also has a binary encoding (wire/message.h),
-// negotiated per connection by a magic first byte (wire/frame.h); the
-// text form stays the default for humans and old clients. to_wire /
-// from_wire below map between the two request representations so both
-// transports share one dispatcher.
+// both stdio and a Unix socket. Text lines are the only encoding: every
+// transport (stdio, the socket reactor, the router) speaks them.
 #pragma once
 
 #include <cstddef>
 #include <string>
-
-#include "wire/message.h"
 
 namespace rebert::serve {
 
@@ -52,6 +48,13 @@ namespace rebert::serve {
 /// and is answered with a protocol error instead of growing the read
 /// buffer unboundedly (socket connections are additionally closed).
 inline constexpr std::size_t kMaxRequestLineBytes = 8192;
+
+/// Upper bound on one response line a client will buffer. The longest
+/// legitimate responses (stats, a router's `backends` listing) are well
+/// under 1 KiB; a peer that streams past this without a newline is broken
+/// or hostile, and serve::Client refuses it instead of growing without
+/// bound.
+inline constexpr std::size_t kMaxResponseLineBytes = 64 * 1024;
 
 enum class RequestType {
   kScore,
@@ -87,7 +90,14 @@ std::string format_error(const std::string& message);
 /// The shed response: `err overloaded retry_after_ms=<n>`.
 std::string format_overloaded(int retry_after_ms);
 
-/// Extract retry_after_ms from a shed response; -1 when absent/malformed.
+/// The router's refusal when no backend could take a request:
+/// `err no_backend retry_after_ms=<n>`.
+std::string format_no_backend(int retry_after_ms);
+
+/// Extract retry_after_ms from one of the two retryable advisories —
+/// format_overloaded / format_no_backend — and -1 for any other response,
+/// including an error that merely echoes `retry_after_ms=` from the
+/// request text.
 int parse_retry_after_ms(const std::string& response);
 
 /// The `help` response payload (single line).
@@ -96,13 +106,5 @@ std::string help_text();
 /// The refusal for an over-length request line (format_error payload
 /// included), shared by every transport that enforces the cap.
 std::string format_line_too_long();
-
-/// Map a parsed text request onto the binary wire representation.
-/// Requires an encodable request — kInvalid trips a util::CheckError
-/// (callers answer parse failures before encoding).
-wire::Request to_wire(const Request& request);
-
-/// Map a decoded wire request back onto the dispatcher's Request.
-Request from_wire(const wire::Request& request);
 
 }  // namespace rebert::serve

@@ -80,22 +80,6 @@ std::string single_line(std::string text) {
   return text;
 }
 
-/// The wire verb a response should echo for a request of this type.
-/// kInvalid has no wire verb; kHelp is the harmless stand-in (the text
-/// rendering of an error response does not show the verb anyway).
-wire::Verb echo_verb(RequestType type) {
-  switch (type) {
-    case RequestType::kScore:   return wire::Verb::kScore;
-    case RequestType::kRecover: return wire::Verb::kRecover;
-    case RequestType::kStats:   return wire::Verb::kStats;
-    case RequestType::kHealth:  return wire::Verb::kHealth;
-    case RequestType::kQuit:    return wire::Verb::kQuit;
-    case RequestType::kHelp:
-    case RequestType::kInvalid: break;
-  }
-  return wire::Verb::kHelp;
-}
-
 }  // namespace
 
 ServeLoop::ServeLoop(InferenceEngine& engine)
@@ -114,18 +98,7 @@ ServeLoop::ServeLoop(InferenceEngine& engine)
             return format_overloaded(engine_.retry_after_ms());
           },
           /*on_answered=*/[this] { count_request_for_snapshot(); },
-          /*on_shutdown=*/[this] { snapshot_cache(/*force=*/true); },
-          /*handle_frame=*/[this](const wire::Frame& frame, bool* close) {
-            return handle_frame(frame, close);
-          },
-          /*overload_frame=*/[this] {
-            // The binary twin of overload_line: same shed accounting, same
-            // advisory delay, encoded as a retryable response frame so the
-            // client's FrameReader never sees text mid-stream.
-            engine_.record_shed();
-            return wire::encode_response(
-                wire::overloaded_response(engine_.retry_after_ms()));
-          }}) {}
+          /*on_shutdown=*/[this] { snapshot_cache(/*force=*/true); }}) {}
 
 void ServeLoop::enable_snapshots(std::string path, int every_n) {
   snapshot_path_ = std::move(path);
@@ -160,8 +133,7 @@ void ServeLoop::count_request_for_snapshot() {
     snapshot_cache(/*force=*/false);
 }
 
-wire::Response ServeLoop::dispatch(const Request& request, bool* quit) {
-  const wire::Verb verb = echo_verb(request.type);
+std::string ServeLoop::dispatch(const Request& request, bool* quit) {
   try {
     switch (request.type) {
       case RequestType::kScore:
@@ -172,12 +144,7 @@ wire::Response ServeLoop::dispatch(const Request& request, bool* quit) {
         // leave.
         InferenceEngine::Admission admission =
             engine_.try_admit(request.bench);
-        if (!admission) {
-          wire::Response shed =
-              wire::overloaded_response(engine_.retry_after_ms());
-          shed.verb = verb;
-          return shed;
-        }
+        if (!admission) return format_overloaded(engine_.retry_after_ms());
         runtime::CancellationToken deadline;
         runtime::CancellationToken* cancel = nullptr;
         const int deadline_ms = request.deadline_ms > 0
@@ -188,54 +155,42 @@ wire::Response ServeLoop::dispatch(const Request& request, bool* quit) {
           cancel = &deadline;
         }
         if (request.type == RequestType::kScore) {
-          return wire::score_response(
+          return format_ok(util::format_double(
               engine_.score(request.bench, request.bit_a, request.bit_b,
-                            cancel, request.model));
+                            cancel, request.model),
+              6));
         }
         const RecoverSummary summary =
             engine_.recover(request.bench, cancel, request.model);
-        wire::Response response =
-            wire::ok_response(verb, format_recover(summary));
-        if (summary.degraded) response.flags |= wire::kFlagDegraded;
-        return response;
+        std::string payload = format_recover(summary);
+        if (summary.degraded) payload += " degraded=structural";
+        return format_ok(payload);
       }
       case RequestType::kStats:
-        return wire::ok_response(verb, format_stats(engine_.stats()));
+        return format_ok(format_stats(engine_.stats()));
       case RequestType::kHealth:
-        return wire::ok_response(verb, format_health(engine_.stats()));
+        return format_ok(format_health(engine_.stats()));
       case RequestType::kHelp:
-        return wire::ok_response(verb, help_text());
+        return format_ok(help_text());
       case RequestType::kQuit:
         if (quit) *quit = true;
-        return wire::ok_response(verb, "bye");
+        return format_ok("bye");
       case RequestType::kInvalid:
-        return wire::error_response(verb, request.error);
+        return format_error(request.error);
     }
-    return wire::error_response(verb, "unreachable");
+    return format_error("unreachable");
   } catch (const runtime::CancelledError&) {
-    return wire::deadline_response(verb);
+    return format_error("deadline_exceeded");
   } catch (const std::exception& e) {
     // Engine failures (unknown bench, parse error in a .bench file, an
     // unknown model name, ...) answer this request only; the daemon keeps
     // serving.
-    return wire::error_response(verb, single_line(e.what()));
+    return format_error(single_line(e.what()));
   }
 }
 
 std::string ServeLoop::handle_line(const std::string& line, bool* quit) {
-  return wire::response_to_line(dispatch(parse_request(line), quit));
-}
-
-std::string ServeLoop::handle_frame(const wire::Frame& frame, bool* close) {
-  wire::Request wire_request;
-  std::string error;
-  if (!wire::decode_request_payload(frame.payload, &wire_request, &error)) {
-    // A well-framed but malformed message answers this request only; the
-    // connection survives (framing corruption is SocketServer's to end).
-    return wire::encode_response(
-        wire::error_response(wire::Verb::kHelp, std::move(error)));
-  }
-  return wire::encode_response(dispatch(from_wire(wire_request), close));
+  return dispatch(parse_request(line), quit);
 }
 
 std::size_t ServeLoop::run(std::istream& in, std::ostream& out) {

@@ -1,7 +1,7 @@
-// ServeLoop — transports for the serving protocol (protocol.h text form,
-// wire/message.h binary form).
+// ServeLoop — transports for the serving protocol (protocol.h).
 //
-// Two transports share one dispatcher:
+// Two transports share one dispatcher over the one request model, a text
+// line:
 //   * run(in, out)        — stdio / any iostream pair; one request per
 //                           line until EOF or `quit`. What `rebert_cli
 //                           serve` uses by default, and what the tests
@@ -23,8 +23,6 @@
 #include "serve/protocol.h"
 #include "serve/socket_server.h"
 #include "util/mutex.h"
-#include "wire/frame.h"
-#include "wire/message.h"
 
 namespace rebert::serve {
 
@@ -32,22 +30,15 @@ class ServeLoop {
  public:
   explicit ServeLoop(InferenceEngine& engine);
 
-  /// The one dispatcher behind every transport and both encodings:
-  /// admission, deadlines, engine calls, degraded tagging. Returns the
-  /// encoding-neutral response; sets *quit on a quit request. Never
-  /// throws — engine failures come back as error responses, so a
-  /// malformed request can never take the daemon down.
-  wire::Response dispatch(const Request& request, bool* quit);
+  /// The one dispatcher behind every transport: admission, deadlines,
+  /// engine calls, degraded tagging. Returns the response line (without
+  /// trailing newline); sets *quit on a quit request. Never throws —
+  /// engine failures come back as `err` lines, so a malformed request can
+  /// never take the daemon down.
+  std::string dispatch(const Request& request, bool* quit);
 
-  /// Dispatch one request line to the engine; returns the response line
-  /// (without trailing newline) — response_to_line over dispatch().
+  /// dispatch() over parse_request(line).
   std::string handle_line(const std::string& line, bool* quit);
-
-  /// Dispatch one verified kRequest frame; returns the complete response
-  /// frame bytes. A payload that fails message decoding answers this
-  /// request with an error frame — the connection survives (framing-level
-  /// corruption is SocketServer's to punish).
-  std::string handle_frame(const wire::Frame& frame, bool* close);
 
   /// Serve `in` line by line until EOF or quit, writing one response line
   /// per request to `out`. Blank and comment lines are skipped silently.
@@ -83,17 +74,10 @@ class ServeLoop {
   void set_default_deadline_ms(int ms) { default_deadline_ms_ = ms; }
 
   /// Cap on concurrently served socket connections; 0 = unlimited. A
-  /// connection arriving over the cap is refused in its own encoding —
-  /// `err overloaded retry_after_ms=<n>` for text, a frame-encoded
-  /// overloaded response for binary — and closed; it never dispatches.
+  /// connection arriving over the cap is answered `err overloaded
+  /// retry_after_ms=<n>` at its first byte and closed; it never
+  /// dispatches.
   void set_max_connections(int n) { socket_server_.set_max_connections(n); }
-
-  /// Gate the binary wire protocol on the socket transport (default on).
-  /// Off, connections opening with the frame magic are refused; the text
-  /// protocol is unaffected.
-  void set_accept_binary(bool accept) {
-    socket_server_.set_accept_binary(accept);
-  }
 
   /// listen(2) backlog for the socket transport; <= 0 (default) means
   /// SOMAXCONN, so connection storms queue in the kernel long enough for

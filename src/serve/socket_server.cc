@@ -22,7 +22,6 @@
 #include "util/logging.h"
 #include "util/mutex.h"
 #include "util/string_utils.h"
-#include "wire/message.h"
 
 namespace rebert::serve {
 
@@ -51,23 +50,18 @@ std::string error_single_line(const char* what) {
 // only; the single cross-thread surface is the completion queue under
 // `mu`, fed by dispatch-pool workers and drained on eventfd wakeups.
 struct SocketServer::Reactor {
-  enum class Mode { kDetect, kText, kBinary };
-
   struct Conn {
     int fd = -1;
     // Identity for completions: a dispatch in flight names its connection
     // by id, never fd, so a response finished after the connection died
     // (and the fd number was reused) is dropped instead of misdelivered.
     std::uint64_t id = 0;
-    Mode mode = Mode::kDetect;
-    bool negotiated = false;        // binary: kHello seen and acked
     bool shed = false;              // over the cap: refuse at first byte
     bool busy = false;              // a dispatch is in flight
     bool close_after_flush = false; // end the connection once out drains
     bool answered_pending = false;  // fire on_answered when out drains
     std::uint32_t interest = 0;     // events currently registered in epoll
     std::string in;                 // bytes read, not yet parsed
-    wire::FrameReader reader;       // binary framing state
     std::string out;                // bounded write queue (partial sends)
     std::size_t out_off = 0;
   };
@@ -167,8 +161,9 @@ struct SocketServer::Reactor {
       conn.fd = fd;
       conn.id = server_.next_conn_id_++;
       // Over the cap: accept anyway, but park the connection until its
-      // first byte tells us which encoding to refuse it in. A shed
-      // connection never dispatches and never counts against the cap.
+      // first byte, so the refusal lands as a readable response instead
+      // of a failed send. A shed connection never dispatches and never
+      // counts against the cap.
       conn.shed = server_.max_connections_ > 0 &&
                   live >= server_.max_connections_;
       if (!conn.shed) ++live;
@@ -276,61 +271,20 @@ struct SocketServer::Reactor {
     }
   }
 
-  void dispatch_frame(Conn& conn, wire::Frame frame) {
-    conn.busy = true;
-    const std::uint64_t id = conn.id;
-    SocketServer* server = &server_;
-    begin_dispatch();
-    try {
-      server_.pool_->submit([server, id, frame = std::move(frame)] {
-        Completion done{id, std::string(), /*close=*/false,
-                        /*answered=*/true};
-        try {
-          bool close = false;
-          done.bytes = server->callbacks_.handle_frame(frame, &close);
-          done.close = close;
-        } catch (const std::exception& e) {
-          done.bytes = wire::encode_response(wire::error_response(
-              wire::Verb::kHelp, error_single_line(e.what())));
-        } catch (...) {
-          done.bytes = wire::encode_response(
-              wire::error_response(wire::Verb::kHelp, "dispatch failed"));
-        }
-        server->complete(std::move(done));
-      });
-    } catch (const std::exception& e) {
-      server_.complete({id,
-                        wire::encode_response(wire::error_response(
-                            wire::Verb::kHelp, error_single_line(e.what()))),
-                        /*close=*/false, /*answered=*/true});
-    }
-  }
-
-  /// Refuse a parked over-cap connection in its own encoding, now that
-  /// its first byte told us which one that is.
-  bool refuse_shed(Conn& conn) {
-    const bool binary =
-        static_cast<unsigned char>(conn.in[0]) == wire::kFrameMagic;
-    std::string refusal;
-    if (binary) {
-      refusal = server_.callbacks_.overload_frame
-                    ? server_.callbacks_.overload_frame()
-                    : wire::encode_response(wire::overloaded_response(0));
-    } else {
-      refusal = (server_.callbacks_.overload_line
-                     ? server_.callbacks_.overload_line()
-                     : std::string("err overloaded")) +
-                "\n";
-    }
+  /// Refuse a parked over-cap connection now that it has spoken.
+  void refuse_shed(Conn& conn) {
+    const std::string refusal = server_.callbacks_.overload_line
+                                    ? server_.callbacks_.overload_line()
+                                    : std::string("err overloaded");
     conn.in.clear();
     conn.close_after_flush = true;
-    return enqueue(conn, refusal);
+    (void)enqueue(conn, refusal + "\n");
   }
 
-  /// Advance the connection's protocol state machine: detect the
-  /// encoding, parse what `in` holds, enqueue protocol chatter inline,
-  /// dispatch at most one request. Returns true when it made progress
-  /// that may unblock another pump iteration.
+  /// Advance the connection's protocol state machine: parse what `in`
+  /// holds, enqueue protocol chatter inline, dispatch at most one
+  /// request. Returns true when it made progress that may unblock another
+  /// pump iteration.
   bool process_input(Conn& conn) {
     if (conn.busy || conn.close_after_flush || !conn.out.empty())
       return false;
@@ -340,26 +294,11 @@ struct SocketServer::Reactor {
     // the drain already decided nothing was left, and run() would destroy
     // the reactor under a live worker.
     if (stopping()) return false;
-    if (conn.in.empty() && conn.mode != Mode::kBinary) return false;
-
-    if (conn.mode == Mode::kDetect) {
-      if (conn.shed) return refuse_shed(conn) || true;
-      if (static_cast<unsigned char>(conn.in[0]) == wire::kFrameMagic) {
-        if (!server_.accept_binary_.load(std::memory_order_relaxed) ||
-            !server_.callbacks_.handle_frame) {
-          conn.close_after_flush = true;
-          (void)enqueue(conn, wire::encode_protocol_error(
-                                  "binary protocol not enabled on this "
-                                  "endpoint"));
-          return true;
-        }
-        conn.mode = Mode::kBinary;
-      } else {
-        conn.mode = Mode::kText;
-      }
+    if (conn.in.empty()) return false;
+    if (conn.shed) {
+      refuse_shed(conn);
+      return true;
     }
-
-    if (conn.mode == Mode::kBinary) return process_binary(conn);
     return process_text(conn);
   }
 
@@ -386,65 +325,6 @@ struct SocketServer::Reactor {
       // request — refuse now instead of buffering until the client stops.
       conn.close_after_flush = true;
       (void)enqueue(conn, format_line_too_long() + "\n");
-      return true;
-    }
-    return progressed;
-  }
-
-  bool process_binary(Conn& conn) {
-    if (!conn.in.empty()) {
-      conn.reader.feed(conn.in.data(), conn.in.size());
-      conn.in.clear();
-    }
-    bool progressed = false;
-    wire::Frame frame;
-    std::string error;
-    while (!conn.busy && conn.out.empty() && !conn.close_after_flush) {
-      const wire::FrameReader::Status status = conn.reader.next(&frame,
-                                                                &error);
-      if (status == wire::FrameReader::Status::kNeedMore) break;
-      progressed = true;
-      if (status == wire::FrameReader::Status::kError) {
-        // After a framing error there is no safe resync point in the
-        // stream: report what broke and close.
-        conn.close_after_flush = true;
-        (void)enqueue(conn, wire::encode_protocol_error(error));
-        return true;
-      }
-      if (!conn.negotiated) {
-        // The stream must open with a kHello we can version-match;
-        // anything else is refused before any request is served.
-        std::uint16_t version = 0;
-        std::string hello_error;
-        if (frame.type != wire::FrameType::kHello ||
-            !wire::decode_hello_payload(frame.payload, &version,
-                                        &hello_error)) {
-          conn.close_after_flush = true;
-          (void)enqueue(conn, wire::encode_protocol_error(
-                                  "expected a hello frame to open the "
-                                  "binary stream"));
-          return true;
-        }
-        if (version != wire::kWireVersion) {
-          conn.close_after_flush = true;
-          (void)enqueue(conn,
-                        wire::encode_protocol_error(
-                            "unsupported wire version " +
-                            std::to_string(version)));
-          return true;
-        }
-        conn.negotiated = true;
-        (void)enqueue(conn, wire::encode_hello_ack());
-        return true;
-      }
-      if (frame.type != wire::FrameType::kRequest) {
-        conn.close_after_flush = true;
-        (void)enqueue(conn, wire::encode_protocol_error(
-                                "only request frames are valid after "
-                                "negotiation"));
-        return true;
-      }
-      dispatch_frame(conn, std::move(frame));
       return true;
     }
     return progressed;

@@ -1,11 +1,11 @@
-// SocketServer — the reusable AF_UNIX listener behind both protocol
-// encodings, built on a non-blocking epoll reactor.
+// SocketServer — the reusable AF_UNIX listener behind the newline
+// protocol, built on a non-blocking epoll reactor.
 //
 // One reactor thread (the caller of run()) owns the listener and every
 // connection descriptor: sockets are O_NONBLOCK, registered level-
 // triggered in a single epoll set, each with its own read buffer and a
 // bounded write queue for partial sends. Request work never runs on the
-// reactor — a parsed line or frame is dispatched to an internal
+// reactor — a parsed request line is dispatched to an internal
 // runtime::ThreadPool, and the finished response is handed back through a
 // completion queue plus an eventfd wakeup, so ten thousand idle
 // connections cost ten thousand descriptors and zero threads. What each
@@ -14,22 +14,16 @@
 // its forwarding loop, and both get identical transport semantics (and
 // identical chaos coverage) for free.
 //
-// Each connection speaks exactly one encoding, decided by its first byte:
-// wire::kFrameMagic (0xAB, not a printable character) switches the
-// connection to the binary frame protocol — the client must then open
-// with a kHello frame, answered kHelloAck — while anything else is served
-// as newline text. The text side bounds its line length
+// Every connection speaks newline-delimited text. Line length is bounded
 // (protocol.h kMaxRequestLineBytes): an oversized line gets a protocol
 // error and the connection is closed instead of buffering without limit.
-// On the binary side a malformed frame (bad magic mid-stream, reserved
-// bits, length over cap, checksum mismatch) earns a kError frame and a
-// close — after a framing error the stream has no safe resync point.
 //
-// Overload shed is encoding-aware: a connection over max_connections is
-// accepted and parked until its first byte arrives, then refused in its
-// own protocol — overload_frame() bytes when the byte is the frame magic,
-// overload_line() text otherwise — so a binary client's FrameReader sees
-// a well-formed retryable advisory, never text masquerading as a frame.
+// Overload shed happens at the door, but not at accept: a connection over
+// max_connections is accepted and parked until its first byte arrives,
+// then answered with overload_line() and closed. Refusing at accept would
+// make a client's first send fail (EPIPE) before it could read the
+// retryable advisory; parking lets serve::Client::request() see the
+// `err overloaded retry_after_ms=<n>` line like any other response.
 #pragma once
 
 #include <atomic>
@@ -40,7 +34,6 @@
 #include <vector>
 
 #include "util/mutex.h"
-#include "wire/frame.h"
 
 namespace rebert::runtime {
 class ThreadPool;
@@ -63,8 +56,8 @@ class SocketServer {
     /// comment lines). Default: skip nothing. Runs on the reactor thread.
     std::function<bool(const std::string& line)> is_blank;
     /// Optional. The one-line refusal sent (then the connection closed)
-    /// when a connection over max_connections opens in text. Also the
-    /// place to count the shed. Default: "err overloaded".
+    /// when a connection over max_connections sends its first byte. Also
+    /// the place to count the shed. Default: "err overloaded".
     std::function<std::string()> overload_line;
     /// Optional. Invoked after each response is fully flushed to the
     /// socket — cadence hooks (cache snapshots) go here. Runs on the
@@ -76,19 +69,6 @@ class SocketServer {
     /// Optional. Invoked once when run() finishes shutting down, after
     /// every in-flight dispatch has drained.
     std::function<void()> on_shutdown;
-    /// Optional. Dispatch one verified kRequest frame; return the
-    /// complete response frame bytes (wire::encode_response). Set
-    /// *close_connection to end the connection after the response. Must
-    /// not throw. Absent: binary negotiation is refused and connections
-    /// opening with the frame magic are turned away with a kError frame.
-    /// Runs on a dispatch pool thread, like handle_line.
-    std::function<std::string(const wire::Frame& frame,
-                              bool* close_connection)> handle_frame;
-    /// Optional. The complete response frame bytes refusing a connection
-    /// over max_connections that opens with the frame magic — the
-    /// binary twin of overload_line, also the place to count the shed.
-    /// Default: wire::encode_response(wire::overloaded_response(0)).
-    std::function<std::string()> overload_frame;
   };
 
   explicit SocketServer(Callbacks callbacks);
@@ -98,23 +78,18 @@ class SocketServer {
   SocketServer& operator=(const SocketServer&) = delete;
 
   /// Cap on concurrently served connections; 0 = unlimited. A connection
-  /// over the cap is parked until its first byte reveals its encoding,
-  /// then refused with overload_frame() / overload_line() and closed — it
-  /// never dispatches work and never counts against the cap itself.
+  /// over the cap is parked until its first byte arrives, then refused
+  /// with overload_line() and closed — it never dispatches work and never
+  /// counts against the cap itself.
   void set_max_connections(int n) { max_connections_ = n; }
-
-  /// Gate for the binary wire protocol (default on, effective only when
-  /// the owner supplied handle_frame). Off, connections opening with the
-  /// frame magic are refused — what `serve --binary false` wires through.
-  void set_accept_binary(bool accept) { accept_binary_ = accept; }
 
   /// listen(2) backlog; <= 0 (the default) means SOMAXCONN. The old
   /// hardcoded 16 got connection storms ECONNREFUSED in the kernel before
   /// admission control could answer with retry_after_ms.
   void set_listen_backlog(int backlog) { listen_backlog_ = backlog; }
 
-  /// Threads in the internal dispatch pool that runs handle_line /
-  /// handle_frame; <= 0 (the default) picks kDefaultDispatchThreads.
+  /// Threads in the internal dispatch pool that runs handle_line; <= 0
+  /// (the default) picks kDefaultDispatchThreads.
   /// Takes effect on the next run().
   void set_dispatch_threads(int n) { dispatch_threads_ = n; }
 
@@ -155,13 +130,12 @@ class SocketServer {
   int max_connections_ = 0;
   int listen_backlog_ = 0;    // <= 0: SOMAXCONN
   int dispatch_threads_ = 0;  // <= 0: kDefaultDispatchThreads
-  std::atomic<bool> accept_binary_{true};
   std::atomic<bool> stopping_{false};
   // eventfd owned for the server's whole life (created in the
   // constructor), so stop() and worker completions always have a live
   // descriptor to poke regardless of run()'s progress.
   int wake_fd_ = -1;
-  // Dispatch pool for handle_line / handle_frame; created lazily by
+  // Dispatch pool for handle_line; created lazily by
   // run() so a ServeLoop used only over stdio never spawns it.
   std::unique_ptr<runtime::ThreadPool> pool_;
   // The worker -> reactor handoff. Owned by the server, not the Reactor,

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <ostream>
 #include <vector>
 
 #include "util/check.h"
@@ -43,6 +45,17 @@ struct TruthCase {
   std::vector<bool> inputs;
   bool expected;
 };
+
+// Prints a case as e.g. "AND(1,0)=0". Without this gtest dumps the raw
+// object bytes, which include heap addresses, so the parameterized test
+// names would change from run to run.
+void PrintTo(const TruthCase& c, std::ostream* os) {
+  *os << gate_type_name(c.type) << '(';
+  for (std::size_t i = 0; i < c.inputs.size(); ++i) {
+    *os << (i > 0 ? "," : "") << (c.inputs[i] ? '1' : '0');
+  }
+  *os << ")=" << (c.expected ? '1' : '0');
+}
 
 class GateEvalTest : public ::testing::TestWithParam<TruthCase> {};
 

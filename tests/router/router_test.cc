@@ -128,7 +128,7 @@ TEST(RouterTest, EmptyRingRefusesWithAdvisory) {
   Router router(fast_router_options());
   bool quit = false;
   const std::string response = router.handle_line("score b03 q0 q1", &quit);
-  EXPECT_TRUE(util::starts_with(response, "err no_backend")) << response;
+  EXPECT_EQ(response, serve::format_no_backend(9));
   EXPECT_EQ(serve::parse_retry_after_ms(response), 9);
   EXPECT_EQ(router.stats().no_backend_errors, 1u);
 
@@ -207,6 +207,29 @@ TEST(RouterTest, BackendOverloadAdvisoryPassesThrough) {
   runtime::FaultInjector::global().disarm_all();
   EXPECT_TRUE(util::starts_with(shed, "err overloaded")) << shed;
   EXPECT_EQ(serve::parse_retry_after_ms(shed), 7) << shed;
+}
+
+TEST(RouterTest, DegradedRecoverTagPassesThroughUnchanged) {
+  TestBackend backend(::testing::TempDir() + "/router_degraded.sock",
+                      small_options());
+  ASSERT_TRUE(wait_ready(backend.path));
+  Router router(fast_router_options());
+  router.add_backend("backend0", backend.path);
+  (void)backend.engine.warm("b03");
+
+  // Every forward fails -> the backend answers from the structural
+  // fallback and tags the line; the router must relay the tag as sent.
+  runtime::FaultInjector::global().arm("model.forward", 1.0, 7);
+  bool quit = false;
+  const std::string recovered = router.handle_line("recover b03", &quit);
+  runtime::FaultInjector::global().disarm_all();
+
+  EXPECT_TRUE(util::starts_with(recovered, "ok words=")) << recovered;
+  const std::string tag = " degraded=structural";
+  ASSERT_GE(recovered.size(), tag.size());
+  EXPECT_EQ(recovered.substr(recovered.size() - tag.size()), tag)
+      << recovered;
+  EXPECT_GE(backend.engine.stats().degraded_recoveries, 1u);
 }
 
 TEST(RouterTest, DrainMovesKeysAndUndrainRestoresThem) {

@@ -116,6 +116,27 @@ TEST(FormatTest, OverloadedRoundTrips) {
   EXPECT_EQ(parse_retry_after_ms("err deadline_exceeded"), -1);
 }
 
+TEST(FormatTest, NoBackendRoundTrips) {
+  const std::string refusal = format_no_backend(40);
+  EXPECT_EQ(refusal, "err no_backend retry_after_ms=40");
+  EXPECT_EQ(parse_retry_after_ms(refusal), 40);
+}
+
+TEST(FormatTest, OnlyTheTwoAdvisoriesCarryARetryDelay) {
+  // An error that echoes request text containing the token is not a shed:
+  // treating it as one made `call --retry retry_after_ms=40` back off
+  // through every attempt.
+  EXPECT_EQ(parse_retry_after_ms(
+                "err unknown request 'retry_after_ms=40' (try: help)"),
+            -1);
+  EXPECT_EQ(parse_retry_after_ms("err retry_after_ms=40"), -1);
+  EXPECT_EQ(parse_retry_after_ms("ok words=3 retry_after_ms=40"), -1);
+  EXPECT_EQ(parse_retry_after_ms("err overloaded retry_after_ms=-5"), -1);
+  EXPECT_EQ(parse_retry_after_ms("err overloaded retry_after_ms=5x"), -1);
+  EXPECT_EQ(parse_retry_after_ms(format_overloaded(12)), 12);
+  EXPECT_EQ(parse_retry_after_ms(format_no_backend(13)), 13);
+}
+
 TEST(FormatTest, OkAndError) {
   EXPECT_EQ(format_ok(""), "ok");
   EXPECT_EQ(format_ok("0.5"), "ok 0.5");

@@ -1,6 +1,9 @@
 // Unix-socket transport robustness: a client that disconnects mid-response
 // (the SIGPIPE/EPIPE path) or mid-request costs the daemon that one
 // connection, never the process, and later clients are served normally.
+// Line lengths are bounded in both directions: the server refuses an
+// oversized request line, and serve::Client refuses a response line that
+// never ends.
 #include <gtest/gtest.h>
 
 #include <cerrno>
@@ -17,7 +20,9 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "serve/client.h"
 #include "serve/engine.h"
+#include "serve/protocol.h"
 #include "serve/serve_loop.h"
 #include "util/check.h"
 #include "util/string_utils.h"
@@ -185,6 +190,76 @@ TEST(ServeSocketTest, QuitClosesOnlyThatConnection) {
 
   loop.stop();
   server.join();
+  std::remove(socket_path.c_str());
+}
+
+TEST(ServeSocketTest, OversizedTextLineRefusedAndClosed) {
+  const std::string socket_path =
+      ::testing::TempDir() + "/rebert_oversized_line.sock";
+  InferenceEngine engine(small_options());
+  ServeLoop loop(engine);
+  std::thread server([&] { loop.run_unix_socket(socket_path); });
+
+  const int fd = connect_to(socket_path);
+  ASSERT_GE(fd, 0);
+  const std::string huge(kMaxRequestLineBytes + 64, 'a');
+  send_all(fd, huge + "\n");
+  EXPECT_EQ(read_line(fd), format_line_too_long());
+  EXPECT_EQ(read_line(fd), "");  // server closed the connection
+  ::close(fd);
+
+  loop.stop();
+  server.join();
+  std::remove(socket_path.c_str());
+}
+
+TEST(ServeSocketTest, ClientRefusesResponseLineThatNeverEnds) {
+  // A peer that streams bytes without ever sending a newline must not
+  // grow the client's buffer without bound: request() throws once the
+  // pending line passes kMaxResponseLineBytes, long before the peer is
+  // done (it would send 16x the cap, then close).
+  const std::string socket_path =
+      ::testing::TempDir() + "/rebert_endless_line.sock";
+  std::remove(socket_path.c_str());
+  const int listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, socket_path.c_str(),
+               sizeof(addr.sun_path) - 1);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<const sockaddr*>(&addr),
+                   sizeof(addr)),
+            0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  std::thread endless([&] {
+    int fd;
+    do {
+      fd = ::accept(listener, nullptr, nullptr);
+    } while (fd < 0 && errno == EINTR);
+    if (fd < 0) return;
+    char sink[64];
+    (void)::read(fd, sink, sizeof(sink));  // the request line
+    const std::string chunk(4096, 'x');
+    for (std::size_t sent = 0; sent < 16 * kMaxResponseLineBytes;
+         sent += chunk.size()) {
+      if (::send(fd, chunk.data(), chunk.size(), MSG_NOSIGNAL) <= 0) break;
+    }
+    ::close(fd);
+  });
+
+  Client client(socket_path);
+  ASSERT_TRUE(client.connect());
+  try {
+    (void)client.request("stats");
+    FAIL() << "request() returned from a response line that never ends";
+  } catch (const util::CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("exceeds"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_FALSE(client.connected());
+
+  endless.join();
+  ::close(listener);
   std::remove(socket_path.c_str());
 }
 

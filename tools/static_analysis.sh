@@ -55,9 +55,9 @@
 #      backends behind one socket; requests relay through the router,
 #      then one backend is SIGKILLed and traffic must still be answered
 #      (reroute to the survivor, or the supervisor's respawn).
-#   8. Binary warm-start kill drill: snapshots + SIGKILL + supervisor
-#      respawn; the respawned backend's first answer must already be warm
-#      from the mmap tier (warm_entries > 0, cache_misses = 0).
+#   8. Warm-start kill drill: snapshots + SIGKILL + supervisor respawn;
+#      the respawned backend's first answer must already be warm from the
+#      mmap tier (warm_entries > 0, cache_misses = 0).
 #   8b. Replica failover smoke: route at --replicas 2, prime a score
 #      through the router so the mirror queue warms the secondary, then
 #      SIGKILL the bench's primary — the resend must answer ok with ZERO
@@ -315,44 +315,6 @@ if [ "$RUN_SMOKE" -eq 1 ]; then
   else
     record degraded-smoke FAIL
   fi
-
-  # Same drill over the binary wire protocol: a socket daemon with every
-  # model forward failing must still answer `call --binary` — the degraded
-  # tag and health report have to survive the frame encoding end to end.
-  note "binary degraded serving smoke (call --binary against a faulted daemon)"
-  BWORK=$(mktemp -d)
-  BSOCK="$BWORK/serve.sock"
-  BIN_ERRORS=0
-  REBERT_FAULTS=model.forward:1.0:7 "$CLI" serve --socket "$BSOCK" \
-    --scale 0.25 > "$BWORK/serve.log" 2>&1 &
-  SERVE_PID=$!
-  BREADY=0
-  for _ in $(seq 1 240); do
-    if "$CLI" call --socket "$BSOCK" --binary health 2>/dev/null \
-        | grep -q '^ok '; then BREADY=1; break; fi
-    sleep 0.5
-  done
-  if [ "$BREADY" -eq 1 ]; then
-    "$CLI" call --socket "$BSOCK" --binary recover b03 2>/dev/null \
-      | grep -q '^ok words=.*degraded=structural' \
-      || { echo "FAIL: binary recover did not degrade to the structural baseline"; BIN_ERRORS=$((BIN_ERRORS + 1)); }
-    "$CLI" call --socket "$BSOCK" --binary health 2>/dev/null \
-      | grep -q '^ok status=degraded' \
-      || { echo "FAIL: binary health did not report status=degraded"; BIN_ERRORS=$((BIN_ERRORS + 1)); }
-  else
-    echo "FAIL: faulted daemon never became ready"
-    sed -n '1,20p' "$BWORK/serve.log"
-    BIN_ERRORS=$((BIN_ERRORS + 1))
-  fi
-  kill "$SERVE_PID" 2>/dev/null
-  wait "$SERVE_PID" 2>/dev/null
-  rm -rf "$BWORK"
-  if [ "$BIN_ERRORS" -eq 0 ]; then
-    echo "binary degraded serving smoke passed"
-    record binary-smoke PASS
-  else
-    record binary-smoke FAIL
-  fi
 fi
 
 # ---- 7. sharded serving smoke ----------------------------------------------
@@ -422,16 +384,15 @@ if [ "$RUN_SHARDED" -eq 1 ]; then
   fi
 fi
 
-# ---- 8. binary warm-start kill drill ----------------------------------------
-# The O(1) warm-start acceptance drill, all traffic over the binary wire
-# protocol: a supervised fleet snapshots each backend's cache to its own
-# RBPC v2 file after every request. One backend is primed, SIGKILLed, and
+# ---- 8. warm-start kill drill -----------------------------------------------
+# The O(1) warm-start acceptance drill: a supervised fleet snapshots each
+# backend's cache to its own RBPC v2 file after every request. One backend is primed, SIGKILLed, and
 # respawned by the supervisor — and its FIRST answer must already be warm:
 # stats polled before any score/recover reaches it have to show
 # warm_entries > 0 (the mmap tier attached at boot) with cache_misses = 0
 # (nothing was re-scored to get there).
 if [ "$RUN_SHARDED" -eq 1 ]; then
-  note "binary warm-start kill drill (route + snapshots, SIGKILL, warm respawn)"
+  note "warm-start kill drill (route + snapshots, SIGKILL, warm respawn)"
   ensure_cli || exit 1
   WWORK=$(mktemp -d)
   WSOCK="$WWORK/router.sock"
@@ -447,10 +408,9 @@ if [ "$RUN_SHARDED" -eq 1 ]; then
     sleep 0.5
   done
   if [ "$WREADY" -eq 1 ]; then
-    # Prime the victim directly on its own socket (placement-independent),
-    # over the binary protocol; --snapshot-every 1 persists the scores
-    # immediately.
-    "$CLI" call --socket "$WSOCK.backend1" --binary recover b03 2>/dev/null \
+    # Prime the victim directly on its own socket (placement-independent);
+    # --snapshot-every 1 persists the scores immediately.
+    "$CLI" call --socket "$WSOCK.backend1" recover b03 2>/dev/null \
       | grep -q '^ok words=' \
       || { echo "FAIL: priming recover on backend1"; WARM_ERRORS=$((WARM_ERRORS + 1)); }
     # Wait for a snapshot written strictly AFTER the prime landed. Health
@@ -477,7 +437,7 @@ if [ "$RUN_SHARDED" -eq 1 ]; then
       # mapped snapshot, not from re-scoring.
       WSTATS=""
       for _ in $(seq 1 240); do
-        WSTATS=$("$CLI" call --socket "$WSOCK.backend1" --binary stats 2>/dev/null)
+        WSTATS=$("$CLI" call --socket "$WSOCK.backend1" stats 2>/dev/null)
         if echo "$WSTATS" | grep -q '^ok threads='; then break; fi
         WSTATS=""
         sleep 0.5
@@ -489,7 +449,7 @@ if [ "$RUN_SHARDED" -eq 1 ]; then
         echo "$WSTATS" | grep -q 'cache_misses=0 ' \
           || { echo "FAIL: respawned backend1 already took cold misses"; WARM_ERRORS=$((WARM_ERRORS + 1)); }
         # And the fleet answers the re-run through the router, warm.
-        "$CLI" call --socket "$WSOCK" --binary --retry recover b03 2>/dev/null \
+        "$CLI" call --socket "$WSOCK" --retry recover b03 2>/dev/null \
           | grep -q '^ok words=' \
           || { echo "FAIL: recover b03 through the router after respawn"; WARM_ERRORS=$((WARM_ERRORS + 1)); }
       else
@@ -510,7 +470,7 @@ if [ "$RUN_SHARDED" -eq 1 ]; then
   wait "$WROUTE_PID" 2>/dev/null
   rm -rf "$WWORK"
   if [ "$WARM_ERRORS" -eq 0 ]; then
-    echo "binary warm-start kill drill passed"
+    echo "warm-start kill drill passed"
     record warm-kill-drill PASS
   else
     record warm-kill-drill FAIL
