@@ -303,13 +303,14 @@ int cmd_recover(const util::FlagParser& flags) {
     }
     const core::RecoveryArtifacts artifacts =
         core::recover_words_detailed(netlist, model, options.pipeline);
-    labels = artifacts.result.labels;
+    const core::RecoveryResult& result = artifacts.result;
+    labels = result.labels;
     std::printf("ReBERT: %d words in %.3fs (%.0f%% filtered, %.0f%% cache "
-                "hits)\n",
-                artifacts.result.num_words,
-                artifacts.result.total_seconds,
-                artifacts.result.filtered_fraction * 100.0,
-                artifacts.result.cache_hit_rate * 100.0);
+                "hits) tokenize=%.3fs score=%.3fs group=%.3fs\n",
+                result.num_words, result.total_seconds,
+                result.filtered_fraction * 100.0,
+                result.cache_hit_rate * 100.0, result.tokenize_seconds,
+                result.scoring_seconds, result.grouping_seconds);
     if (!cache_file.empty()) {
       persist::save_cache(cache, cache_file);
       std::printf("cache: saved %zu entries to %s\n", cache.size(),
@@ -317,11 +318,17 @@ int cmd_recover(const util::FlagParser& flags) {
     }
     if (flags.get_bool("report", false) || flags.get_bool("json", false)) {
       const core::WordReport report = core::make_word_report(
-          artifacts.bits, artifacts.scores, artifacts.result.labels);
-      if (flags.get_bool("json", false))
-        std::printf("%s\n", report.to_json().c_str());
-      else
+          artifacts.bits, artifacts.scores, result.labels);
+      if (flags.get_bool("json", false)) {
+        // The word report's JSON object, led by the phase split.
+        std::printf("{\"tokenize_seconds\":%.6f,\"score_seconds\":%.6f,"
+                    "\"group_seconds\":%.6f,\"total_seconds\":%.6f,%s\n",
+                    result.tokenize_seconds, result.scoring_seconds,
+                    result.grouping_seconds, result.total_seconds,
+                    report.to_json().c_str() + 1);
+      } else {
         std::printf("%s", report.to_string().c_str());
+      }
     }
   }
 

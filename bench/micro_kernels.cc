@@ -1,9 +1,10 @@
 // Microbenchmarks (google-benchmark) of the kernels the pipeline spends
 // its time in: tokenization, Jaccard filtering, attention forward, GEMM,
 // ARI, corruption, structural matching — plus the per-backend kernel
-// rows (GEMM GFLOP/s, fused softmax/LayerNorm/GELU) introduced with the
-// dispatched kernel subsystem (src/kernels). Acceptance for the AVX2
-// backend: >= 4x scalar GEMM GFLOP/s in the BM_KernelGemm rows.
+// rows (GEMM GFLOP/s, packed vs unpacked GEMM on the forward's shapes,
+// fused softmax/LayerNorm/GELU) of the dispatched kernel subsystem
+// (src/kernels). Acceptance for the AVX2 backend: >= 4x scalar GEMM
+// GFLOP/s in the BM_KernelGemm rows.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -13,6 +14,7 @@
 #include "bert/attention.h"
 #include "bert/model.h"
 #include "circuitgen/suite.h"
+#include "kernels/aligned.h"
 #include "kernels/backend.h"
 #include "kernels/kernels.h"
 #include "metrics/clustering.h"
@@ -75,8 +77,9 @@ void BM_AttentionForward(benchmark::State& state) {
   bert::MultiHeadSelfAttention attention("bench", config, rng);
   const tensor::Tensor x =
       tensor::Tensor::randn({static_cast<int>(state.range(0)), 64}, rng);
+  bert::MultiHeadSelfAttention::Cache cache;
   for (auto _ : state)
-    benchmark::DoNotOptimize(attention.forward(x, nullptr));
+    benchmark::DoNotOptimize(attention.forward(x, cache));
 }
 BENCHMARK(BM_AttentionForward)->Arg(32)->Arg(64)->Arg(128);
 
@@ -110,6 +113,34 @@ void BM_KernelGemm(benchmark::State& state,
   }
   state.counters["GFLOPS"] = benchmark::Counter(
       2.0 * n * n * n * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate, benchmark::Counter::kIs1000);
+}
+
+/// GEMM on a real forward shape (M = 45 token rows; args are K, N), with
+/// B packed once up front (`packed`, what inference runs) or repacked on
+/// every call (gemm).
+void BM_KernelGemmForwardShape(benchmark::State& state,
+                               kernels::Backend backend, bool packed) {
+  const kernels::KernelTable& table = kernels::table_for(backend);
+  util::Rng rng(15);
+  const int m = 45;
+  const int k = static_cast<int>(state.range(0));
+  const int n = static_cast<int>(state.range(1));
+  const tensor::Tensor a = tensor::Tensor::randn({m, k}, rng);
+  const tensor::Tensor b = tensor::Tensor::randn({k, n}, rng);
+  kernels::AlignedFloatVector b_packed(kernels::packed_b_floats(k, n));
+  kernels::pack_b(b.data(), k, n, b_packed.data());
+  tensor::Tensor c({m, n});
+  for (auto _ : state) {
+    if (packed)
+      table.gemm_packed(a.data(), b_packed.data(), c.data(), m, k, n);
+    else
+      table.gemm(a.data(), b.data(), c.data(), m, k, n);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["GFLOPS"] = benchmark::Counter(
+      2.0 * m * k * n * static_cast<double>(state.iterations()),
       benchmark::Counter::kIsRate, benchmark::Counter::kIs1000);
 }
 
@@ -166,6 +197,15 @@ void register_backend_benchmarks() {
     benchmark::RegisterBenchmark(("BM_KernelGemm/" + suffix).c_str(),
                                  BM_KernelGemm, backend)
         ->Arg(64)->Arg(128)->Arg(256);
+    for (const bool packed : {false, true}) {
+      const std::string name = std::string("BM_KernelGemmForwardShape/") +
+                               (packed ? "packed/" : "unpacked/") + suffix;
+      benchmark::RegisterBenchmark(name.c_str(), BM_KernelGemmForwardShape,
+                                   backend, packed)
+          ->Args({64, 192})    // fused QKV
+          ->Args({64, 256})    // FFN up
+          ->Args({256, 64});   // FFN down
+    }
     benchmark::RegisterBenchmark(
         ("BM_KernelSoftmaxRows/" + suffix).c_str(), BM_KernelSoftmaxRows,
         backend)

@@ -28,13 +28,12 @@ class MultiHeadSelfAttention {
     tensor::Tensor concat;                  // [n, H] head outputs
   };
 
-  /// x: [n, hidden] -> [n, hidden]. `valid_len` masks padding: when > 0,
-  /// attention scores onto positions >= valid_len are forced to -inf so
-  /// [PAD] tokens (§II-A-3 pads pair sequences to a uniform length) can
-  /// never influence real positions. 0 means "no padding".
-  /// const: reads only the projection parameters, so concurrent forward
-  /// calls on one instance are safe (each caller owns its Cache).
-  tensor::Tensor forward(const tensor::Tensor& x, Cache* cache,
+  /// Training forward, x: [n, hidden] -> [n, hidden]; fills `cache` for
+  /// backward. `valid_len` masks padding: when > 0, attention scores onto
+  /// positions >= valid_len are forced to -inf so [PAD] tokens (§II-A-3
+  /// pads pair sequences to a uniform length) can never influence real
+  /// positions. 0 means "no padding".
+  tensor::Tensor forward(const tensor::Tensor& x, Cache& cache,
                          int valid_len = 0) const;
 
   /// Returns dx; accumulates all projection gradients.
@@ -45,10 +44,23 @@ class MultiHeadSelfAttention {
   int num_heads() const { return num_heads_; }
 
  private:
+  friend class BertPairClassifier;  // packs the projections for inference
+
   int num_heads_ = 1;
   int head_dim_ = 1;
   tensor::Linear query_, key_, value_, output_;
 };
+
+/// The per-head core shared by the training and inference forwards:
+/// for each head h, softmax(Q_h K_h^T / sqrt(d), masked at >= valid_len)
+/// V_h into columns [h*d, (h+1)*d) of `concat` [n, heads*d]. Q, K and V
+/// rows are `ld` floats apart, so fused [n, 3H] projections are read in
+/// place. When `probs` is non-null each head's [n, n] probabilities are
+/// appended to it (backward needs them). Temporaries use the per-thread
+/// arena.
+void attend_heads(const float* q, const float* k, const float* v, int ld,
+                  int n, int num_heads, int head_dim, int valid_len,
+                  float* concat, std::vector<tensor::Tensor>* probs);
 
 /// Copy columns [c0, c1) of a matrix into a new matrix.
 tensor::Tensor slice_cols(const tensor::Tensor& x, int c0, int c1);

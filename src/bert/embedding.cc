@@ -18,49 +18,45 @@ BertEmbeddings::BertEmbeddings(const BertConfig& config, util::Rng& rng)
   config.validate();
 }
 
-Tensor BertEmbeddings::forward(const EncodedSequence& input, bool training,
-                               util::Rng& rng, Cache* cache) const {
+void check_input(const BertConfig& config, const EncodedSequence& input) {
   const int n = input.length();
   REBERT_CHECK_MSG(n >= 1, "empty sequence");
   REBERT_CHECK_MSG(static_cast<int>(input.position_ids.size()) == n,
                    "position_ids length mismatch");
   for (int id : input.token_ids)
-    REBERT_CHECK_MSG(id >= 0 && id < config_.vocab_size,
+    REBERT_CHECK_MSG(id >= 0 && id < config.vocab_size,
                      "token id " << id << " out of vocabulary");
   for (int p : input.position_ids)
-    REBERT_CHECK_MSG(p >= 0 && p < config_.max_seq_len,
+    REBERT_CHECK_MSG(p >= 0 && p < config.max_seq_len,
                      "position " << p << " exceeds max_seq_len "
-                                 << config_.max_seq_len);
-
-  Tensor sum({n, config_.hidden});
-  if (config_.use_word_embedding) {
-    const Tensor w = word_.forward(input.token_ids,
-                                   cache ? &cache->word : nullptr);
-    sum.add_scaled(w, 1.0f);
-  }
-  if (config_.use_position_embedding) {
-    const Tensor p = position_.forward(input.position_ids,
-                                       cache ? &cache->position : nullptr);
-    sum.add_scaled(p, 1.0f);
-  }
-  if (config_.use_tree_embedding) {
+                                 << config.max_seq_len);
+  if (config.use_tree_embedding)
     REBERT_CHECK_MSG(input.tree_codes.rank() == 2 &&
                          input.tree_codes.dim(0) == n &&
-                         input.tree_codes.dim(1) == config_.tree_code_dim,
+                         input.tree_codes.dim(1) == config.tree_code_dim,
                      "tree_codes shape " << input.tree_codes.shape_string()
                                          << " (expected [" << n << ","
-                                         << config_.tree_code_dim << "])");
-    const Tensor t = tree_projection_.forward(input.tree_codes,
-                                              cache ? &cache->tree : nullptr);
-    sum.add_scaled(t, 1.0f);
-    if (cache) cache->used_tree = true;
-  } else if (cache) {
-    cache->used_tree = false;
-  }
+                                         << config.tree_code_dim << "])");
+  REBERT_CHECK_MSG(input.valid_len >= 0 && input.valid_len <= n,
+                   "valid_len " << input.valid_len << " out of range for "
+                                << n);
+}
 
-  Tensor normed = norm_.forward(sum, cache ? &cache->norm : nullptr);
-  return dropout_.forward(normed, training, rng,
-                          cache ? &cache->dropout : nullptr);
+Tensor BertEmbeddings::forward(const EncodedSequence& input, util::Rng& rng,
+                               Cache& cache) const {
+  check_input(config_, input);
+  Tensor sum({input.length(), config_.hidden});
+  if (config_.use_word_embedding)
+    sum.add_scaled(word_.forward(input.token_ids, cache.word), 1.0f);
+  if (config_.use_position_embedding)
+    sum.add_scaled(position_.forward(input.position_ids, cache.position),
+                   1.0f);
+  cache.used_tree = config_.use_tree_embedding;
+  if (config_.use_tree_embedding)
+    sum.add_scaled(tree_projection_.forward(input.tree_codes, cache.tree),
+                   1.0f);
+  const Tensor normed = norm_.forward(sum, cache.norm);
+  return dropout_.forward(normed, rng, cache.dropout);
 }
 
 void BertEmbeddings::backward(const Tensor& dy, const Cache& cache) {

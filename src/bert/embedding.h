@@ -32,6 +32,12 @@ struct EncodedSequence {
   int length() const { return static_cast<int>(token_ids.size()); }
 };
 
+/// Entry-point checks every forward (training and inference) runs on its
+/// input: non-empty, ids and positions in range, tree codes [n,
+/// tree_code_dim] when the tree embedding is on, valid_len in [0, n].
+/// Throws util::CheckError.
+void check_input(const BertConfig& config, const EncodedSequence& input);
+
 class BertEmbeddings {
  public:
   BertEmbeddings() = default;
@@ -46,10 +52,10 @@ class BertEmbeddings {
     bool used_tree = false;
   };
 
-  /// -> [n, hidden]. const: tables are only read; `rng` is consumed only
-  /// when `training` (dropout), so concurrent eval forwards are safe.
-  tensor::Tensor forward(const EncodedSequence& input, bool training,
-                         util::Rng& rng, Cache* cache) const;
+  /// Training forward -> [n, hidden]; fills `cache` for backward and draws
+  /// dropout masks from `rng`.
+  tensor::Tensor forward(const EncodedSequence& input, util::Rng& rng,
+                         Cache& cache) const;
 
   /// Accumulates all embedding gradients (no input gradient: ids are
   /// discrete and tree codes are fixed features).
@@ -58,6 +64,8 @@ class BertEmbeddings {
   std::vector<tensor::Parameter*> parameters();
 
  private:
+  friend class BertPairClassifier;  // reads the tables for inference
+
   BertConfig config_;
   tensor::Embedding word_;
   tensor::Embedding position_;

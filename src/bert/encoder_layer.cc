@@ -17,26 +17,23 @@ EncoderLayer::EncoderLayer(const std::string& name, const BertConfig& config,
       ffn_norm_(name + ".ffn_norm", config.hidden),
       dropout_(config.dropout) {}
 
-Tensor EncoderLayer::forward(const Tensor& x, bool training, util::Rng& rng,
-                             Cache* cache, int valid_len) const {
-  Cache local;
-  Cache& c = cache ? *cache : local;
-
+Tensor EncoderLayer::forward(const Tensor& x, util::Rng& rng, Cache& cache,
+                             int valid_len) const {
   // Attention block with residual.
-  Tensor att = attention_.forward(x, &c.attention, valid_len);
-  att = dropout_.forward(att, training, rng, &c.attention_dropout);
+  Tensor att = attention_.forward(x, cache.attention, valid_len);
+  att = dropout_.forward(att, rng, cache.attention_dropout);
   const Tensor att_res = tensor::add(x, att);
   const Tensor att_normed = attention_norm_.forward(att_res,
-                                                    &c.attention_norm);
+                                                    cache.attention_norm);
 
   // Feed-forward block with residual.
-  const Tensor pre_act = intermediate_.forward(att_normed, &c.intermediate);
-  c.intermediate_pre_act = pre_act;
-  const Tensor activated = tensor::gelu(pre_act);
-  Tensor ffn = ffn_output_.forward(activated, &c.ffn_output);
-  ffn = dropout_.forward(ffn, training, rng, &c.ffn_dropout);
+  cache.intermediate_pre_act =
+      intermediate_.forward(att_normed, cache.intermediate);
+  const Tensor activated = tensor::gelu(cache.intermediate_pre_act);
+  Tensor ffn = ffn_output_.forward(activated, cache.ffn_output);
+  ffn = dropout_.forward(ffn, rng, cache.ffn_dropout);
   const Tensor ffn_res = tensor::add(att_normed, ffn);
-  return ffn_norm_.forward(ffn_res, &c.ffn_norm);
+  return ffn_norm_.forward(ffn_res, cache.ffn_norm);
 }
 
 Tensor EncoderLayer::backward(const Tensor& dy, const Cache& cache) {

@@ -25,18 +25,18 @@ class EncoderLayer {
     tensor::LayerNorm::Cache ffn_norm;
   };
 
-  /// `valid_len` > 0 masks trailing [PAD] positions in the attention
-  /// sublayer (see MultiHeadSelfAttention::forward). const: parameters are
-  /// only read, so concurrent eval-mode forwards are safe; `rng` is
-  /// consumed only when `training` (dropout masks).
-  tensor::Tensor forward(const tensor::Tensor& x, bool training,
-                         util::Rng& rng, Cache* cache,
-                         int valid_len = 0) const;
+  /// Training forward; fills `cache` for backward and draws dropout
+  /// masks from `rng`. `valid_len` > 0 masks trailing [PAD] positions in
+  /// the attention sublayer (see MultiHeadSelfAttention::forward).
+  tensor::Tensor forward(const tensor::Tensor& x, util::Rng& rng,
+                         Cache& cache, int valid_len = 0) const;
   tensor::Tensor backward(const tensor::Tensor& dy, const Cache& cache);
 
   std::vector<tensor::Parameter*> parameters();
 
  private:
+  friend class BertPairClassifier;  // packs the weights for inference
+
   MultiHeadSelfAttention attention_;
   tensor::LayerNorm attention_norm_;
   tensor::Linear intermediate_;  // H -> intermediate ("BERT Intermediate")

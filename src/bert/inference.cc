@@ -1,0 +1,196 @@
+// The inference forward of BertPairClassifier and the weight packing it
+// reads.
+//
+// Inference has one path: inference_logits() below. It runs the same
+// kernels in the same per-element order as the training forward with
+// dropout off (so scores are bitwise equal to it per backend), but keeps
+// nothing for backward: every temporary lives in the per-thread scratch
+// arena, and the weights come pre-packed in kernels::pack_b panels
+// instead of being repacked on every GEMM call. Q, K and V share one
+// [H, 3H] matrix, so one GEMM projects all three.
+#include <algorithm>
+#include <cmath>
+#include <initializer_list>
+
+#include "bert/model.h"
+#include "kernels/aligned.h"
+#include "kernels/arena.h"
+#include "kernels/kernels.h"
+#include "util/check.h"
+
+namespace rebert::bert {
+
+using tensor::Tensor;
+
+struct BertPairClassifier::PackedWeights {
+  /// y = x W + b with W in pack_b panels; the operation order of
+  /// tensor::Linear::forward.
+  struct Linear {
+    int in = 0;
+    int out = 0;
+    kernels::AlignedFloatVector weight;
+    kernels::AlignedFloatVector bias;
+
+    /// Packs Linears that read the same input as one, their output
+    /// columns side by side in argument order.
+    static Linear pack(std::initializer_list<const tensor::Linear*> parts);
+
+    void apply(const float* x, int rows, float* y) const {
+      kernels::gemm_packed(x, weight.data(), y, rows, in, out);
+      kernels::add_row_bias(y, bias.data(), rows, out);
+    }
+  };
+  struct Layer {
+    Linear qkv;  // query | key | value columns
+    Linear attention_output;
+    Linear intermediate;
+    Linear ffn_output;
+  };
+
+  Linear tree_projection;
+  std::vector<Layer> layers;
+  Linear pooler;
+  Linear classifier;
+};
+
+BertPairClassifier::PackedWeights::Linear
+BertPairClassifier::PackedWeights::Linear::pack(
+    std::initializer_list<const tensor::Linear*> parts) {
+  Linear packed;
+  packed.in = (*parts.begin())->in_features();
+  for (const tensor::Linear* part : parts)
+    packed.out += part->out_features();
+  std::vector<float> weight(static_cast<std::size_t>(packed.in) *
+                            packed.out);
+  packed.bias.reserve(static_cast<std::size_t>(packed.out));
+  int c0 = 0;
+  for (const tensor::Linear* part : parts) {
+    const int cols = part->out_features();
+    const float* w = part->weight.value.data();
+    for (int r = 0; r < packed.in; ++r)
+      std::copy(w + static_cast<std::size_t>(r) * cols,
+                w + static_cast<std::size_t>(r + 1) * cols,
+                weight.data() + static_cast<std::size_t>(r) * packed.out + c0);
+    const float* b = part->bias.value.data();
+    packed.bias.insert(packed.bias.end(), b, b + cols);
+    c0 += cols;
+  }
+  packed.weight.resize(kernels::packed_b_floats(packed.in, packed.out));
+  kernels::pack_b(weight.data(), packed.in, packed.out, packed.weight.data());
+  return packed;
+}
+
+namespace {
+
+void layer_norm(const tensor::LayerNorm& norm, const float* x, int rows,
+                int cols, float* y) {
+  kernels::layer_norm(x, norm.gamma.value.data(), norm.beta.value.data(),
+                      norm.eps, rows, cols, y, nullptr, nullptr);
+}
+
+}  // namespace
+
+void BertPairClassifier::PackedWeightsDeleter::operator()(
+    const PackedWeights* packed) const {
+  delete packed;
+}
+
+void BertPairClassifier::pack_weights() {
+  const auto pack = &PackedWeights::Linear::pack;
+  auto packed = std::make_unique<PackedWeights>();
+  packed->tree_projection = pack({&embeddings_.tree_projection_});
+  for (const EncoderLayer& layer : layers_) {
+    const MultiHeadSelfAttention& att = layer.attention_;
+    packed->layers.push_back({pack({&att.query_, &att.key_, &att.value_}),
+                              pack({&att.output_}),
+                              pack({&layer.intermediate_}),
+                              pack({&layer.ffn_output_})});
+  }
+  packed->pooler = pack({&pooler_});
+  packed->classifier = pack({&classifier_});
+  packed_.reset(packed.release());
+  packed_generation_ = weights_generation_;
+}
+
+Tensor BertPairClassifier::inference_logits(
+    const EncodedSequence& input) const {
+  REBERT_CHECK_MSG(packed_generation_ == weights_generation_,
+                   "inference weights are stale: parameters were handed out "
+                   "for mutation after the last pack_weights()");
+  check_input(config_, input);
+  const PackedWeights& packed = *packed_;
+  const int n = input.length();
+  const int hidden = config_.hidden;
+  const int inter = config_.intermediate;
+  const std::size_t nh = static_cast<std::size_t>(n) * hidden;
+  const std::size_t ni = static_cast<std::size_t>(n) * inter;
+
+  kernels::ArenaScope scope;
+  float* x = scope.floats(nh);  // the hidden state between layers
+
+  // Embeddings, summed from zero in the training forward's order: word,
+  // position, then the projected tree code.
+  {
+    kernels::ArenaScope layer_scope;
+    float* sum = layer_scope.floats(nh);
+    std::fill(sum, sum + nh, 0.0f);
+    const BertEmbeddings& emb = embeddings_;
+    for (int i = 0; i < n; ++i) {
+      float* row = sum + static_cast<std::size_t>(i) * hidden;
+      const auto add_row = [&](const tensor::Embedding& table, int id) {
+        kernels::axpy(row,
+                      table.table.value.data() +
+                          static_cast<std::size_t>(id) * hidden,
+                      1.0f, hidden);
+      };
+      if (config_.use_word_embedding)
+        add_row(emb.word_, input.token_ids[static_cast<std::size_t>(i)]);
+      if (config_.use_position_embedding)
+        add_row(emb.position_,
+                input.position_ids[static_cast<std::size_t>(i)]);
+    }
+    if (config_.use_tree_embedding) {
+      float* tree = layer_scope.floats(nh);
+      packed.tree_projection.apply(input.tree_codes.data(), n, tree);
+      kernels::axpy(sum, tree, 1.0f, static_cast<std::int64_t>(nh));
+    }
+    layer_norm(emb.norm_, sum, n, hidden, x);
+  }
+
+  for (std::size_t l = 0; l < layers_.size(); ++l) {
+    const EncoderLayer& layer = layers_[l];
+    const PackedWeights::Layer& w = packed.layers[l];
+    kernels::ArenaScope layer_scope;
+    float* qkv = layer_scope.floats(3 * nh);
+    w.qkv.apply(x, n, qkv);
+    float* concat = layer_scope.floats(nh);
+    attend_heads(qkv, qkv + hidden, qkv + 2 * hidden, 3 * hidden, n,
+                 layer.attention_.num_heads_, layer.attention_.head_dim_,
+                 input.valid_len, concat, nullptr);
+    float* att = layer_scope.floats(nh);
+    w.attention_output.apply(concat, n, att);
+    kernels::axpy(att, x, 1.0f, static_cast<std::int64_t>(nh));  // residual
+    float* att_normed = layer_scope.floats(nh);
+    layer_norm(layer.attention_norm_, att, n, hidden, att_normed);
+
+    float* pre_act = layer_scope.floats(ni);
+    w.intermediate.apply(att_normed, n, pre_act);
+    float* activated = layer_scope.floats(ni);
+    kernels::gelu(pre_act, activated, static_cast<std::int64_t>(ni));
+    float* ffn = layer_scope.floats(nh);
+    w.ffn_output.apply(activated, n, ffn);
+    kernels::axpy(ffn, att_normed, 1.0f,
+                  static_cast<std::int64_t>(nh));  // residual
+    layer_norm(layer.ffn_norm_, ffn, n, hidden, x);
+  }
+
+  // Head: [CLS] row -> pooler -> tanh -> classifier.
+  float* pooled = scope.floats(static_cast<std::size_t>(hidden));
+  packed.pooler.apply(x, 1, pooled);
+  for (int j = 0; j < hidden; ++j) pooled[j] = std::tanh(pooled[j]);
+  Tensor logits({1, config_.num_classes});
+  packed.classifier.apply(pooled, 1, logits.data());
+  return logits;
+}
+
+}  // namespace rebert::bert

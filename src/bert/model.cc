@@ -5,7 +5,6 @@
 #include "runtime/fault_injector.h"
 #include "tensor/graphcheck.h"
 #include "tensor/serialize.h"
-#include "util/check.h"
 
 namespace rebert::bert {
 
@@ -103,38 +102,33 @@ BertPairClassifier::BertPairClassifier(const BertConfig& config)
   layers_.reserve(static_cast<std::size_t>(config.num_layers));
   for (int i = 0; i < config.num_layers; ++i)
     layers_.emplace_back("encoder." + std::to_string(i), config, init_rng_);
+  for (auto* p : embeddings_.parameters()) parameter_list_.push_back(p);
+  for (auto& layer : layers_)
+    for (auto* p : layer.parameters()) parameter_list_.push_back(p);
+  for (auto* p : pooler_.parameters()) parameter_list_.push_back(p);
+  for (auto* p : classifier_.parameters()) parameter_list_.push_back(p);
   // One cold-path pass proves the whole stage chain shape-consistent, so
-  // the forward path does not re-check layer shapes per call.
-  check_model_graph(config_, parameters());
+  // the forward paths do not re-check layer shapes per call.
+  check_model_graph(config_, parameter_list_);
+  pack_weights();
 }
 
-Tensor BertPairClassifier::forward(const EncodedSequence& input,
-                                   util::Rng* dropout_rng,
-                                   ForwardCache* cache) const {
-  const bool training = dropout_rng != nullptr;
-  // Eval-mode layer forwards never consume randomness (dropout is the
-  // identity), but the layer API threads an Rng through; hand them an
-  // inert thread-local one so concurrent const inference shares no
-  // mutable state whatsoever.
-  static thread_local util::Rng inert_eval_rng(0);
-  util::Rng& rng = training ? *dropout_rng : inert_eval_rng;
+Tensor BertPairClassifier::training_forward(const EncodedSequence& input,
+                                            ForwardCache& cache) {
+  cache.seq_len = input.length();
+  cache.layers.resize(layers_.size());
 
-  ForwardCache local;
-  ForwardCache& c = cache ? *cache : local;
-  c.seq_len = input.length();
-  c.layers.resize(layers_.size());
-
-  Tensor hidden = embeddings_.forward(input, training, rng, &c.embeddings);
+  Tensor hidden = embeddings_.forward(input, dropout_rng_, cache.embeddings);
   for (std::size_t i = 0; i < layers_.size(); ++i)
-    hidden = layers_[i].forward(hidden, training, rng, &c.layers[i],
+    hidden = layers_[i].forward(hidden, dropout_rng_, cache.layers[i],
                                 input.valid_len);
 
   // Pooler: first token ([CLS]) -> linear -> tanh.
   Tensor first_row({1, config_.hidden});
   for (int j = 0; j < config_.hidden; ++j) first_row.at(0, j) = hidden.at(0, j);
-  const Tensor pooled = pooler_.forward(first_row, &c.pooler);
-  c.pooled_tanh = tensor::tanh_forward(pooled);
-  return classifier_.forward(c.pooled_tanh, &c.classifier);
+  const Tensor pooled = pooler_.forward(first_row, cache.pooler);
+  cache.pooled_tanh = tensor::tanh_forward(pooled);
+  return classifier_.forward(cache.pooled_tanh, cache.classifier);
 }
 
 void BertPairClassifier::backward(const Tensor& d_logits,
@@ -162,26 +156,14 @@ double BertPairClassifier::predict_same_word_probability(
   // erroring out). One check per forward so probability-armed chaos runs
   // fail a deterministic fraction of predictions.
   runtime::FaultInjector::global().maybe_throw("model.forward");
-  const Tensor logits = forward(input, /*dropout_rng=*/nullptr, nullptr);
-  const Tensor probs = tensor::softmax_rows(logits);
+  const Tensor probs = tensor::softmax_rows(inference_logits(input));
   return probs.at(0, 1);
-}
-
-std::vector<double> BertPairClassifier::predict_same_word_probabilities(
-    const std::vector<const EncodedSequence*>& batch) const {
-  std::vector<double> scores;
-  scores.reserve(batch.size());
-  for (const EncodedSequence* input : batch) {
-    REBERT_CHECK_MSG(input != nullptr, "null sequence in prediction batch");
-    scores.push_back(predict_same_word_probability(*input));
-  }
-  return scores;
 }
 
 double BertPairClassifier::train_step_accumulate(const EncodedSequence& input,
                                                  int label) {
   ForwardCache cache;
-  const Tensor logits = forward(input, &dropout_rng_, &cache);
+  const Tensor logits = training_forward(input, cache);
   Tensor d_logits;
   const double loss =
       tensor::cross_entropy_with_logits(logits, {label}, &d_logits);
@@ -191,33 +173,33 @@ double BertPairClassifier::train_step_accumulate(const EncodedSequence& input,
 
 double BertPairClassifier::eval_loss(const EncodedSequence& input,
                                      int label) const {
-  const Tensor logits = forward(input, /*dropout_rng=*/nullptr, nullptr);
-  return tensor::cross_entropy_with_logits(logits, {label}, nullptr);
+  return tensor::cross_entropy_with_logits(inference_logits(input), {label},
+                                           nullptr);
 }
 
 const std::vector<tensor::Parameter*>& BertPairClassifier::parameters() {
-  if (parameter_list_.empty()) {
-    for (auto* p : embeddings_.parameters()) parameter_list_.push_back(p);
-    for (auto& layer : layers_)
-      for (auto* p : layer.parameters()) parameter_list_.push_back(p);
-    for (auto* p : pooler_.parameters()) parameter_list_.push_back(p);
-    for (auto* p : classifier_.parameters()) parameter_list_.push_back(p);
-  }
+  ++weights_generation_;
   return parameter_list_;
 }
 
-std::int64_t BertPairClassifier::num_parameters() {
+std::vector<const tensor::Parameter*> BertPairClassifier::parameters()
+    const {
+  return {parameter_list_.begin(), parameter_list_.end()};
+}
+
+std::int64_t BertPairClassifier::num_parameters() const {
   std::int64_t total = 0;
-  for (const auto* p : parameters()) total += p->value.numel();
+  for (const auto* p : parameter_list_) total += p->value.numel();
   return total;
 }
 
-void BertPairClassifier::save(const std::string& path) {
+void BertPairClassifier::save(const std::string& path) const {
   tensor::save_parameters(parameters(), path);
 }
 
 void BertPairClassifier::load(const std::string& path) {
   tensor::load_parameters(parameters(), path);
+  pack_weights();
 }
 
 }  // namespace rebert::bert

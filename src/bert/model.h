@@ -6,6 +6,7 @@
 // stage.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -35,51 +36,65 @@ class BertPairClassifier {
 
   const BertConfig& config() const { return config_; }
 
-  /// Probability that the pair belongs to the same word (class 1);
-  /// inference mode (no dropout).
+  /// Probability that the pair belongs to the same word (class 1).
   ///
-  /// Thread safety: const inference reads parameters only (dropout is the
-  /// identity in eval mode and its RNG is never touched), so any number of
-  /// threads may score pairs against one shared model snapshot
-  /// concurrently. Training methods are NOT concurrency-safe and must not
-  /// overlap with inference.
+  /// Runs the inference forward: one pass over `input` that keeps every
+  /// temporary in the per-thread scratch arena and reads the weights the
+  /// constructor, load() or pack_weights() packed. Scores are bitwise
+  /// equal to the training forward's with dropout off, per backend.
+  /// Throws util::CheckError if the weights may have changed since the
+  /// last pack (see parameters()), so a score always comes from the
+  /// weights the model holds now.
+  ///
+  /// Thread safety: reads only, so any number of threads may score pairs
+  /// against one model concurrently. Training methods, parameters() and
+  /// pack_weights() are NOT concurrency-safe and must not overlap with
+  /// inference.
   double predict_same_word_probability(const EncodedSequence& input) const;
 
-  /// Batch-forward entry point: scores a micro-batch of encoded pair
-  /// sequences (one forward each — sequences differ in length, so there is
-  /// no cross-sequence tensor to fuse). This is the unit of work the serve
-  /// engine and the parallel scorer fan out across runtime::ThreadPool
-  /// workers; keeping the batch walk inside the model lets future backends
-  /// fuse it for real without touching callers.
-  std::vector<double> predict_same_word_probabilities(
-      const std::vector<const EncodedSequence*>& batch) const;
-
-  /// Training-mode forward + backward for one example. Returns the loss;
-  /// accumulates gradients on all parameters.
+  /// Training-mode forward (dropout on) + backward for one example.
+  /// Returns the loss; accumulates gradients on all parameters.
   double train_step_accumulate(const EncodedSequence& input, int label);
 
-  /// Loss without gradient accumulation (for eval).
+  /// Cross-entropy of the inference logits; no gradients.
   double eval_loss(const EncodedSequence& input, int label) const;
 
-  /// All trainable parameters in a stable order.
+  /// All trainable parameters in a stable order, for mutation. Marks the
+  /// packed inference weights stale: inference throws until
+  /// pack_weights() runs again.
   const std::vector<tensor::Parameter*>& parameters();
+  /// The same parameters, read-only; leaves the pack valid.
+  std::vector<const tensor::Parameter*> parameters() const;
 
-  std::int64_t num_parameters();
+  std::int64_t num_parameters() const;
 
-  void save(const std::string& path);
+  void save(const std::string& path) const;
+  /// Loads every parameter by name, then re-packs the inference weights.
   void load(const std::string& path);
+
+  /// Packs the current parameter values into the inference layout: Q/K/V
+  /// fused into one [H, 3H] matrix, every projection in kernels::pack_b
+  /// panels. Run after changing weights through parameters() — the
+  /// trainer does so after every optimizer step.
+  void pack_weights();
 
   /// RNG used for dropout; exposed so training runs are reproducible.
   util::Rng& dropout_rng() { return dropout_rng_; }
 
  private:
   struct ForwardCache;
-  /// logits [1, num_classes]; fills cache when training. `dropout_rng`
-  /// null means inference mode (no dropout, no RNG consumption — what
-  /// makes const concurrent forwards sound).
-  tensor::Tensor forward(const EncodedSequence& input,
-                         util::Rng* dropout_rng, ForwardCache* cache) const;
+  struct PackedWeights;  // inference.cc
+  struct PackedWeightsDeleter {
+    void operator()(const PackedWeights* packed) const;
+  };
+
+  /// Training forward: logits [1, num_classes], dropout drawn from
+  /// dropout_rng_, everything backward needs kept in `cache`.
+  tensor::Tensor training_forward(const EncodedSequence& input,
+                                  ForwardCache& cache);
   void backward(const tensor::Tensor& d_logits, const ForwardCache& cache);
+  /// Inference forward: logits [1, num_classes] (inference.cc).
+  tensor::Tensor inference_logits(const EncodedSequence& input) const;
 
   BertConfig config_;
   util::Rng init_rng_;
@@ -89,6 +104,12 @@ class BertPairClassifier {
   tensor::Linear pooler_;
   tensor::Linear classifier_;
   std::vector<tensor::Parameter*> parameter_list_;
+
+  std::unique_ptr<const PackedWeights, PackedWeightsDeleter> packed_;
+  /// Bumped by non-const parameters(); packed_generation_ records the
+  /// value pack_weights() packed, and inference requires the two equal.
+  std::uint64_t weights_generation_ = 0;
+  std::uint64_t packed_generation_ = 0;
 };
 
 }  // namespace rebert::bert

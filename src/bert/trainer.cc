@@ -10,7 +10,7 @@
 
 namespace rebert::bert {
 
-double evaluate_accuracy(BertPairClassifier& model,
+double evaluate_accuracy(const BertPairClassifier& model,
                          const std::vector<LabeledExample>& examples) {
   REBERT_CHECK(!examples.empty());
   int correct = 0;
@@ -22,7 +22,7 @@ double evaluate_accuracy(BertPairClassifier& model,
   return static_cast<double>(correct) / static_cast<double>(examples.size());
 }
 
-double evaluate_loss(BertPairClassifier& model,
+double evaluate_loss(const BertPairClassifier& model,
                      const std::vector<LabeledExample>& examples) {
   REBERT_CHECK(!examples.empty());
   double total = 0.0;
@@ -34,9 +34,8 @@ double evaluate_loss(BertPairClassifier& model,
 namespace {
 
 // Snapshot / restore of parameter values (for best-checkpoint restoring).
-std::vector<tensor::Tensor> snapshot(BertPairClassifier& model) {
+std::vector<tensor::Tensor> snapshot(const BertPairClassifier& model) {
   std::vector<tensor::Tensor> values;
-  values.reserve(model.parameters().size());
   for (const tensor::Parameter* p : model.parameters())
     values.push_back(p->value);
   return values;
@@ -48,6 +47,7 @@ void restore(BertPairClassifier& model,
   REBERT_CHECK(params.size() == values.size());
   for (std::size_t i = 0; i < params.size(); ++i)
     params[i]->value = values[i];
+  model.pack_weights();
 }
 
 }  // namespace
@@ -146,6 +146,9 @@ TrainResult train(BertPairClassifier& model,
                          "numeric tripwire after optimizer step — "
                              << tripwire.first_trip());
       }
+      // The step changed the weights: re-pack them before anything runs
+      // inference (the accuracy and validation passes below).
+      model.pack_weights();
       ++step;
       seen = batch_end;
     }

@@ -59,11 +59,11 @@ struct TrainResult {
 };
 
 /// Evaluate classification accuracy (threshold 0.5 on P(same word)).
-double evaluate_accuracy(BertPairClassifier& model,
+double evaluate_accuracy(const BertPairClassifier& model,
                          const std::vector<LabeledExample>& examples);
 
 /// Mean eval loss.
-double evaluate_loss(BertPairClassifier& model,
+double evaluate_loss(const BertPairClassifier& model,
                      const std::vector<LabeledExample>& examples);
 
 TrainResult train(BertPairClassifier& model,

@@ -2,7 +2,8 @@
 // behind tensor/ops.cc and the BERT layers.
 //
 // Everything here is a free function forwarding through the active
-// backend's KernelTable (backend.h). The API is deliberately below the
+// backend's KernelTable (backend.h), except the B-panel packer, whose
+// layout every backend shares. The API is deliberately below the
 // Tensor abstraction: callers hand in bare pointers plus dimensions, so
 // the same entry points serve Tensor-valued ops, arena-backed attention
 // temporaries, and the microbenchmarks without copies. All matrices are
@@ -15,11 +16,27 @@
 // axpy). gemm* require c to be disjoint from a and b.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "kernels/backend.h"
 
 namespace rebert::kernels {
+
+/// Packed-B layout read by every backend's gemm_packed: B[k, n] split into
+/// ceil(n / kPanelWidth) column panels, each k rows of kPanelWidth floats
+/// (columns past n zero-filled), panels stored back to back. A panel is
+/// k * 64 bytes, so every panel starts 64-byte aligned when the buffer
+/// does. One layout for all backends means weights packed once stay valid
+/// across set_backend().
+inline constexpr int kPanelWidth = 16;
+
+/// Floats pack_b writes for a [k, n] matrix.
+std::size_t packed_b_floats(int k, int n);
+
+/// Pack row-major B[k, n] into `packed` (packed_b_floats(k, n) floats,
+/// 64-byte aligned).
+void pack_b(const float* b, int k, int n, float* packed);
 
 /// One backend's implementation of every kernel. Tests and per-backend
 /// benchmarks call through table_for(backend) directly; production code
@@ -28,6 +45,10 @@ struct KernelTable {
   // C[m,n] = A[m,k] * B[k,n]; C is overwritten.
   void (*gemm)(const float* a, const float* b, float* c, int m, int k,
                int n);
+  // gemm with B already in the pack_b layout. Each C element is reduced
+  // in the same order as gemm, so the two are bitwise equal per backend.
+  void (*gemm_packed)(const float* a, const float* packed_b, float* c,
+                      int m, int k, int n);
   // C[k,n] = A^T * B with A[m,k], B[m,n]; C is overwritten.
   void (*gemm_tn)(const float* a, const float* b, float* c, int m, int k,
                   int n);
@@ -70,6 +91,10 @@ const KernelTable& active_table();
 inline void gemm(const float* a, const float* b, float* c, int m, int k,
                  int n) {
   active_table().gemm(a, b, c, m, k, n);
+}
+inline void gemm_packed(const float* a, const float* packed_b, float* c,
+                        int m, int k, int n) {
+  active_table().gemm_packed(a, packed_b, c, m, k, n);
 }
 inline void gemm_tn(const float* a, const float* b, float* c, int m, int k,
                     int n) {

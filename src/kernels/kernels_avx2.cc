@@ -2,15 +2,16 @@
 // CMakeLists.txt); the rest of the binary stays plain x86-64 and
 // backend.cc only dispatches here after a cpuid probe.
 //
-// GEMM is packed + register-blocked: B is repacked into 16-column panels
-// (64-byte-aligned arena scratch, so the panel loads are aligned and the
-// pack survives across the whole row sweep), and a templated MR x 16
-// micro-kernel keeps MR rows of C in twelve YMM accumulators across the
-// full k reduction. Tail columns run through the same kernel against a
-// zero-padded panel and land via a staging row; tail rows drop to
-// narrower MR instantiations. Everything is single-threaded and runs in
-// one fixed order, so results are bit-identical run-to-run and across
-// thread counts (the determinism contract in backend.h).
+// GEMM is packed + register-blocked: B comes in the shared 16-column
+// panel layout (kernels.h pack_b) — packed once at model load for
+// gemm_packed, or into 64-byte-aligned arena scratch per call for gemm —
+// and a 6 x 16 micro-kernel keeps six rows of C in twelve YMM
+// accumulators across the full k reduction. Tail columns run through the
+// same kernel against a zero-padded panel and land via a staging row;
+// tail rows run on a zero-padded A strip and store only their own rows.
+// Everything is single-threaded and runs in one fixed order, so results
+// are bit-identical run-to-run and across thread counts (the determinism
+// contract in backend.h).
 //
 // Transcendentals (softmax's exp, GELU's erf/pdf) use Cephes-style
 // polynomial approximations (~1e-7 relative error, inside the documented
@@ -33,7 +34,8 @@ namespace rebert::kernels {
 
 namespace {
 
-constexpr int kNR = 16;  // panel width: two YMM vectors
+constexpr int kNR = kPanelWidth;  // two YMM vectors
+static_assert(kNR == 16, "gemm_kernel holds one panel row in two YMMs");
 constexpr int kMR = 6;   // rows per micro-kernel: 12 accumulators
 
 // ---- small helpers ---------------------------------------------------------
@@ -102,19 +104,6 @@ inline __m256 exp8(__m256 x) {
 }
 
 // ---- GEMM ------------------------------------------------------------------
-
-/// B[k, n] columns [j0, j0+w) packed into a k x 16 panel (zero-padded to
-/// 16), panel rows contiguous and 64-byte aligned.
-void pack_b_panel(const float* b, int k, int n, int j0, int w,
-                  float* panel) {
-  for (int kk = 0; kk < k; ++kk) {
-    const float* src = b + static_cast<std::size_t>(kk) * n + j0;
-    float* dst = panel + static_cast<std::size_t>(kk) * kNR;
-    int j = 0;
-    for (; j < w; ++j) dst[j] = src[j];
-    for (; j < kNR; ++j) dst[j] = 0.0f;
-  }
-}
 
 /// A rows [i0, i0+h) packed kk-major, zero-padded to kMR rows:
 /// ap[kk*kMR + r] = A[i0+r, kk]. The inner kernel then broadcasts from
@@ -186,8 +175,8 @@ void gemm_kernel(const float* ap, const float* panel, float* c, int ldc,
   }
 }
 
-void avx2_gemm(const float* a, const float* b, float* c, int m, int k,
-               int n) {
+void avx2_gemm_packed(const float* a, const float* packed_b, float* c,
+                      int m, int k, int n) {
   ArenaScope scratch;
   // A packed once into kMR-row strips, reused across every B panel.
   const int strips = (m + kMR - 1) / kMR;
@@ -197,15 +186,25 @@ void avx2_gemm(const float* a, const float* b, float* c, int m, int k,
   for (int s = 0; s < strips; ++s)
     pack_a_strip(a + static_cast<std::size_t>(s) * kMR * k, k,
                  std::min(kMR, m - s * kMR), k, apack + s * strip_floats);
-  float* panel = scratch.floats(static_cast<std::size_t>(k) * kNR);
+  const float* panel = packed_b;
   for (int j0 = 0; j0 < n; j0 += kNR) {
     const int w = std::min(kNR, n - j0);
-    pack_b_panel(b, k, n, j0, w, panel);
     for (int s = 0; s < strips; ++s)
       gemm_kernel(apack + s * strip_floats, panel,
                   c + static_cast<std::size_t>(s) * kMR * n + j0, n,
                   std::min(kMR, m - s * kMR), k, w);
+    panel += static_cast<std::size_t>(k) * kNR;
   }
+}
+
+void avx2_gemm(const float* a, const float* b, float* c, int m, int k,
+               int n) {
+  // Unpacked B (activations, training weights): pack it into arena
+  // scratch, then run the packed path.
+  ArenaScope scratch;
+  float* packed = scratch.floats(packed_b_floats(k, n));
+  pack_b(b, k, n, packed);
+  avx2_gemm_packed(a, packed, c, m, k, n);
 }
 
 void avx2_gemm_tn(const float* a, const float* b, float* c, int m, int k,
@@ -532,6 +531,7 @@ void avx2_gelu_backward(const float* dy, const float* x, float* dx,
 const KernelTable& avx2_table() {
   static const KernelTable table{
       avx2_gemm,
+      avx2_gemm_packed,
       avx2_gemm_tn,
       avx2_gemm_nt,
       avx2_add_row_bias,

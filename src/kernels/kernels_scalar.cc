@@ -8,11 +8,35 @@
 // contributes NaN; "skip because a == 0" contributes nothing), which
 // would have made the graphcheck tripwire backend-dependent. For finite
 // inputs the results are bit-identical with or without the skip.
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "kernels/kernels.h"
 
 namespace rebert::kernels {
+
+// The B-panel packer is portable code shared by every backend, so it
+// lives with the scalar backend.
+std::size_t packed_b_floats(int k, int n) {
+  const std::size_t panels =
+      static_cast<std::size_t>((n + kPanelWidth - 1) / kPanelWidth);
+  return panels * static_cast<std::size_t>(k) * kPanelWidth;
+}
+
+void pack_b(const float* b, int k, int n, float* packed) {
+  for (int j0 = 0; j0 < n; j0 += kPanelWidth) {
+    const int w = std::min(kPanelWidth, n - j0);
+    for (int kk = 0; kk < k; ++kk) {
+      const float* src = b + static_cast<std::size_t>(kk) * n + j0;
+      float* dst = packed + static_cast<std::size_t>(kk) * kPanelWidth;
+      int j = 0;
+      for (; j < w; ++j) dst[j] = src[j];
+      for (; j < kPanelWidth; ++j) dst[j] = 0.0f;
+    }
+    packed += static_cast<std::size_t>(k) * kPanelWidth;
+  }
+}
 
 namespace {
 
@@ -30,6 +54,28 @@ void scalar_gemm(const float* a, const float* b, float* c, int m, int k,
       const float* brow = b + static_cast<std::size_t>(kk) * n;
       for (int j = 0; j < n; ++j) crow[j] += av * brow[j];
     }
+  }
+}
+
+void scalar_gemm_packed(const float* a, const float* packed_b, float* c,
+                        int m, int k, int n) {
+  // Each element starts at 0 and adds a[i,kk] * b[kk,j] for kk ascending,
+  // exactly as scalar_gemm does, so the two are bitwise equal.
+  const float* panel = packed_b;
+  for (int j0 = 0; j0 < n; j0 += kPanelWidth) {
+    const int w = std::min(kPanelWidth, n - j0);
+    for (int i = 0; i < m; ++i) {
+      const float* arow = a + static_cast<std::size_t>(i) * k;
+      float acc[kPanelWidth] = {};
+      for (int kk = 0; kk < k; ++kk) {
+        const float av = arow[kk];
+        const float* prow = panel + static_cast<std::size_t>(kk) * kPanelWidth;
+        for (int j = 0; j < kPanelWidth; ++j) acc[j] += av * prow[j];
+      }
+      std::memcpy(c + static_cast<std::size_t>(i) * n + j0, acc,
+                  static_cast<std::size_t>(w) * sizeof(float));
+    }
+    panel += static_cast<std::size_t>(k) * kPanelWidth;
   }
 }
 
@@ -157,6 +203,7 @@ void scalar_gelu_backward(const float* dy, const float* x, float* dx,
 const KernelTable& scalar_table() {
   static const KernelTable table{
       scalar_gemm,
+      scalar_gemm_packed,
       scalar_gemm_tn,
       scalar_gemm_nt,
       scalar_add_row_bias,

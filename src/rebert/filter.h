@@ -8,6 +8,8 @@
 // compositions pass; different compositions are cut).
 #pragma once
 
+#include <cstddef>
+#include <span>
 #include <vector>
 
 #include "rebert/tokenizer.h"
@@ -23,9 +25,36 @@ struct FilterOptions {
 double jaccard_similarity(const std::vector<int>& a,
                           const std::vector<int>& b);
 
+/// jaccard_similarity of two bags already sorted ascending, by one merge:
+/// the intersection pairs equal tokens off one to one and
+/// |a ∪ b| = |a| + |b| - |a ∩ b| — the same integers, so the same double,
+/// as per-token min/max counts.
+double sorted_bag_jaccard(std::span<const int> sorted_a,
+                          std::span<const int> sorted_b);
+
 /// True when the pair should be scored by the model (similarity >=
 /// threshold), false when it should be filtered to score -1.
 bool passes_filter(const BitSequence& a, const BitSequence& b,
                    const FilterOptions& options);
+/// passes_filter for bags already sorted ascending.
+bool bags_pass_filter(std::span<const int> sorted_a,
+                      std::span<const int> sorted_b,
+                      const FilterOptions& options);
+
+/// Every sequence's token bag, sorted, in one buffer: pair loops sort each
+/// bag once per call instead of once per pair.
+class SortedBags {
+ public:
+  explicit SortedBags(const std::vector<BitSequence>& bits);
+
+  std::span<const int> bag(std::size_t i) const {
+    return {tokens_.data() + offsets_[i], offsets_[i + 1] - offsets_[i]};
+  }
+
+ private:
+  std::vector<int> tokens_;
+  // Bag i is tokens_[offsets_[i], offsets_[i + 1]).
+  std::vector<std::size_t> offsets_{0};
+};
 
 }  // namespace rebert::core

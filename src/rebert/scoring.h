@@ -74,8 +74,9 @@ struct ScoringOptions {
 /// whole pipeline — fanning surviving pairs out across worker threads.
 ///
 /// Determinism: the output is bit-identical at any thread count. Each of
-/// the n(n-1)/2 pair slots is computed by exactly one body invocation that
-/// writes only its own matrix cell, the model is read-only during
+/// the n(n-1)/2 pair slots is computed by exactly one chunk (`grain`
+/// consecutive pairs of the row-major upper triangle) that writes only its
+/// own matrix cells, the model is read-only during
 /// inference, and cache hits are lossless (same key -> same score), so
 /// scheduling order cannot change a single bit of the result. Enforced by
 /// tests/runtime/scoring_parallel_test.cc at 1, 2, and 8 threads.

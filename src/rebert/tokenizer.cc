@@ -1,5 +1,7 @@
 #include "rebert/tokenizer.h"
 
+#include <algorithm>
+
 #include "runtime/fault_injector.h"
 #include "util/check.h"
 
@@ -62,8 +64,6 @@ bert::EncodedSequence Tokenizer::encode_pair(const BitSequence& a,
   runtime::FaultInjector::global().maybe_throw("tokenizer.encode");
   const Vocabulary& vocab = vocabulary();
   const int width = options_.tree_code_dim;
-  const std::vector<std::uint8_t> zero_code(
-      static_cast<std::size_t>(width), 0);
 
   // [CLS] a [SEP] b [SEP]; truncate each half evenly if over budget.
   const int budget = options_.max_seq_len - 3;
@@ -77,39 +77,38 @@ bert::EncodedSequence Tokenizer::encode_pair(const BitSequence& a,
     take_a = std::max(1, static_cast<int>(take_a * scale));
     take_b = std::max(1, std::min(budget - take_a, take_b));
   }
+  const int real = take_a + take_b + 3;
+  const int n = std::max(real, options_.pad_to);
 
+  // Sized once; tree-code rows are written in place. Special and [PAD]
+  // tokens keep the all-zero code the tensor starts with.
   bert::EncodedSequence encoded;
-  std::vector<std::vector<std::uint8_t>> codes;
-  auto push = [&](int token_id, const std::vector<std::uint8_t>& code) {
-    encoded.token_ids.push_back(token_id);
-    codes.push_back(code);
+  encoded.token_ids.reserve(static_cast<std::size_t>(n));
+  encoded.tree_codes = tensor::Tensor({n, width});
+  const auto append = [&](const BitSequence& bit, int take) {
+    for (int i = 0; i < take; ++i) {
+      const std::vector<std::uint8_t>& code =
+          bit.tree_codes[static_cast<std::size_t>(i)];
+      float* row = encoded.tree_codes.data() +
+                   encoded.token_ids.size() * static_cast<std::size_t>(width);
+      for (int bpos = 0; bpos < width; ++bpos)
+        row[bpos] = code[static_cast<std::size_t>(bpos)];
+      encoded.token_ids.push_back(bit.token_ids[static_cast<std::size_t>(i)]);
+    }
   };
-  push(vocab.cls_id(), zero_code);
-  for (int i = 0; i < take_a; ++i)
-    push(a.token_ids[static_cast<std::size_t>(i)],
-         a.tree_codes[static_cast<std::size_t>(i)]);
-  push(vocab.sep_id(), zero_code);
-  for (int i = 0; i < take_b; ++i)
-    push(b.token_ids[static_cast<std::size_t>(i)],
-         b.tree_codes[static_cast<std::size_t>(i)]);
-  push(vocab.sep_id(), zero_code);
-
-  if (options_.pad_to > 0 &&
-      static_cast<int>(encoded.token_ids.size()) < options_.pad_to) {
-    encoded.valid_len = static_cast<int>(encoded.token_ids.size());
-    while (static_cast<int>(encoded.token_ids.size()) < options_.pad_to)
-      push(vocab.pad_id(), zero_code);
+  encoded.token_ids.push_back(vocab.cls_id());
+  append(a, take_a);
+  encoded.token_ids.push_back(vocab.sep_id());
+  append(b, take_b);
+  encoded.token_ids.push_back(vocab.sep_id());
+  if (n > real) {
+    encoded.valid_len = real;
+    encoded.token_ids.resize(static_cast<std::size_t>(n), vocab.pad_id());
   }
 
-  const int n = static_cast<int>(encoded.token_ids.size());
   encoded.position_ids.resize(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i)
     encoded.position_ids[static_cast<std::size_t>(i)] = i;
-  encoded.tree_codes = tensor::Tensor({n, width});
-  for (int i = 0; i < n; ++i)
-    for (int bpos = 0; bpos < width; ++bpos)
-      encoded.tree_codes.at(i, bpos) =
-          codes[static_cast<std::size_t>(i)][static_cast<std::size_t>(bpos)];
   return encoded;
 }
 

@@ -220,15 +220,11 @@ std::vector<double> InferenceEngine::score_batch(
     auto forward_batch = [&entry, &cache, &misses, &scores, begin, end,
                           cancel, use_cache] {
       if (cancel != nullptr && cancel->requested()) return;
-      std::vector<const bert::EncodedSequence*> inputs;
-      inputs.reserve(end - begin);
-      for (std::size_t m = begin; m < end; ++m)
-        inputs.push_back(&misses[m].encoded);
-      const std::vector<double> probs =
-          entry.model->predict_same_word_probabilities(inputs);
       for (std::size_t m = begin; m < end; ++m) {
-        scores[misses[m].slot] = probs[m - begin];
-        if (use_cache) cache.insert(misses[m].key, probs[m - begin]);
+        const double p =
+            entry.model->predict_same_word_probability(misses[m].encoded);
+        scores[misses[m].slot] = p;
+        if (use_cache) cache.insert(misses[m].key, p);
       }
     };
     try {

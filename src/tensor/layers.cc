@@ -12,12 +12,12 @@ Linear::Linear(const std::string& name, int in_features, int out_features,
     : weight(name + ".weight", Tensor::xavier(in_features, out_features, rng)),
       bias(name + ".bias", Tensor({out_features})) {}
 
-Tensor Linear::forward(const Tensor& x, Cache* cache) const {
+Tensor Linear::forward(const Tensor& x, Cache& cache) const {
   // Shape proven once at model build time (tensor/graphcheck.h).
   REBERT_DCHECK_MSG(x.rank() == 2 && x.dim(1) == weight.value.dim(0),
                     "Linear input " << x.shape_string() << " vs weight "
                                     << weight.value.shape_string());
-  if (cache) cache->input = x;
+  cache.input = x;
   // GEMM + in-place bias: skips the extra output copy add_row_bias(matmul())
   // would make.
   const int m = x.dim(0), in = x.dim(1), out = weight.value.dim(1);
@@ -39,27 +39,20 @@ LayerNorm::LayerNorm(const std::string& name, int hidden, float eps_in)
       beta(name + ".beta", Tensor({hidden})),
       eps(eps_in) {}
 
-Tensor LayerNorm::forward(const Tensor& x, Cache* cache) const {
+Tensor LayerNorm::forward(const Tensor& x, Cache& cache) const {
   const int h = gamma.value.dim(0);
   REBERT_DCHECK_MSG(x.rank() == 2 && x.dim(1) == h,
                     "LayerNorm input " << x.shape_string() << " hidden "
                                        << h);
   const int n = x.dim(0);
   Tensor y({n, h});
-  if (cache) {
-    // Training path: the fused kernel also emits the normalized
-    // intermediate and 1/std per row for backward.
-    Tensor normalized({n, h});
-    std::vector<float> inv_std(static_cast<std::size_t>(n));
-    kernels::layer_norm(x.data(), gamma.value.data(), beta.value.data(), eps,
-                        n, h, y.data(), normalized.data(), inv_std.data());
-    cache->normalized = std::move(normalized);
-    cache->inv_std = std::move(inv_std);
-  } else {
-    // Inference path: single fused pass, no intermediate allocations.
-    kernels::layer_norm(x.data(), gamma.value.data(), beta.value.data(), eps,
-                        n, h, y.data(), nullptr, nullptr);
-  }
+  // The fused kernel also emits the normalized intermediate and 1/std per
+  // row for backward.
+  cache.normalized = Tensor({n, h});
+  cache.inv_std.resize(static_cast<std::size_t>(n));
+  kernels::layer_norm(x.data(), gamma.value.data(), beta.value.data(), eps,
+                      n, h, y.data(), cache.normalized.data(),
+                      cache.inv_std.data());
   return y;
 }
 
@@ -95,8 +88,8 @@ Embedding::Embedding(const std::string& name, int vocab_size, int hidden,
     : table(name + ".table",
             Tensor::randn({vocab_size, hidden}, rng, init_stddev)) {}
 
-Tensor Embedding::forward(const std::vector<int>& ids, Cache* cache) const {
-  if (cache) cache->ids = ids;
+Tensor Embedding::forward(const std::vector<int>& ids, Cache& cache) const {
+  cache.ids = ids;
   return gather_rows(table.value, ids);
 }
 
@@ -113,10 +106,10 @@ void Embedding::backward(const Tensor& dy, const Cache& cache) {
   }
 }
 
-Tensor Dropout::forward(const Tensor& x, bool training, util::Rng& rng,
-                        Cache* cache) const {
-  if (!training || p_ <= 0.0f) {
-    if (cache) cache->mask = Tensor();
+Tensor Dropout::forward(const Tensor& x, util::Rng& rng,
+                        Cache& cache) const {
+  if (p_ <= 0.0f) {
+    cache.mask = Tensor();
     return x;
   }
   REBERT_CHECK_MSG(p_ < 1.0f, "dropout rate must be < 1");
@@ -125,7 +118,7 @@ Tensor Dropout::forward(const Tensor& x, bool training, util::Rng& rng,
   for (std::int64_t i = 0; i < mask.numel(); ++i)
     mask[i] = rng.bernoulli(p_) ? 0.0f : keep_scale;
   Tensor y = mul(x, mask);
-  if (cache) cache->mask = std::move(mask);
+  cache.mask = std::move(mask);
   return y;
 }
 

@@ -1,4 +1,6 @@
-// Neural-network layers with explicit forward/backward.
+// Neural-network layers with explicit forward/backward — the training
+// path. (Inference does not go through these layers: BertPairClassifier
+// runs one arena-only forward over weights it packs at load.)
 //
 // Each layer owns Parameters (value + gradient accumulator). forward() takes
 // the input and fills a layer-specific Cache with whatever backward() needs;
@@ -40,7 +42,7 @@ class Linear {
     Tensor input;
   };
 
-  Tensor forward(const Tensor& x, Cache* cache) const;
+  Tensor forward(const Tensor& x, Cache& cache) const;
   /// Returns dx; accumulates dW, db.
   Tensor backward(const Tensor& dy, const Cache& cache);
 
@@ -63,7 +65,7 @@ class LayerNorm {
     std::vector<float> inv_std;
   };
 
-  Tensor forward(const Tensor& x, Cache* cache) const;
+  Tensor forward(const Tensor& x, Cache& cache) const;
   Tensor backward(const Tensor& dy, const Cache& cache);
 
   std::vector<Parameter*> parameters() { return {&gamma, &beta}; }
@@ -84,7 +86,7 @@ class Embedding {
     std::vector<int> ids;
   };
 
-  Tensor forward(const std::vector<int>& ids, Cache* cache) const;
+  Tensor forward(const std::vector<int>& ids, Cache& cache) const;
   /// No input gradient (ids are discrete); accumulates table gradients.
   void backward(const Tensor& dy, const Cache& cache);
 
@@ -95,7 +97,8 @@ class Embedding {
   Parameter table;
 };
 
-/// Inverted dropout. In eval mode (or p = 0) it is the identity.
+/// Inverted dropout. With p = 0 it is the identity and draws no
+/// randomness.
 class Dropout {
  public:
   explicit Dropout(float p = 0.0f) : p_(p) {}
@@ -104,8 +107,7 @@ class Dropout {
     Tensor mask;  // empty when dropout was a no-op
   };
 
-  Tensor forward(const Tensor& x, bool training, util::Rng& rng,
-                 Cache* cache) const;
+  Tensor forward(const Tensor& x, util::Rng& rng, Cache& cache) const;
   Tensor backward(const Tensor& dy, const Cache& cache) const;
 
   float rate() const { return p_; }

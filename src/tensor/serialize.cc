@@ -77,7 +77,7 @@ class MappedReader {
 
 }  // namespace
 
-void save_parameters(const std::vector<Parameter*>& params,
+void save_parameters(const std::vector<const Parameter*>& params,
                      const std::string& path) {
   // Atomic write: a crash (or ENOSPC) mid-save must leave any previous
   // checkpoint at `path` intact instead of a truncated file that

@@ -15,7 +15,7 @@
 
 namespace rebert::tensor {
 
-void save_parameters(const std::vector<Parameter*>& params,
+void save_parameters(const std::vector<const Parameter*>& params,
                      const std::string& path);
 
 /// Loads values into the given parameters (matched by name). Throws

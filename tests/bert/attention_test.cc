@@ -38,11 +38,17 @@ TEST(SliceColsTest, RoundTrip) {
   EXPECT_TRUE(allclose(rebuilt, x));
 }
 
+/// Training forward with a throwaway cache.
+Tensor forward(const MultiHeadSelfAttention& att, const Tensor& x) {
+  MultiHeadSelfAttention::Cache cache;
+  return att.forward(x, cache);
+}
+
 TEST(AttentionTest, OutputShapeMatchesInput) {
   util::Rng rng(2);
   MultiHeadSelfAttention att("att", tiny_config(), rng);
   const Tensor x = Tensor::randn({5, 8}, rng);
-  const Tensor y = att.forward(x, nullptr);
+  const Tensor y = forward(att, x);
   EXPECT_EQ(y.dim(0), 5);
   EXPECT_EQ(y.dim(1), 8);
 }
@@ -51,7 +57,7 @@ TEST(AttentionTest, SingleTokenSequenceWorks) {
   util::Rng rng(3);
   MultiHeadSelfAttention att("att", tiny_config(), rng);
   const Tensor x = Tensor::randn({1, 8}, rng);
-  const Tensor y = att.forward(x, nullptr);
+  const Tensor y = forward(att, x);
   EXPECT_EQ(y.dim(0), 1);
 }
 
@@ -60,7 +66,7 @@ TEST(AttentionTest, AttentionProbsAreRowStochastic) {
   MultiHeadSelfAttention att("att", tiny_config(), rng);
   const Tensor x = Tensor::randn({4, 8}, rng);
   MultiHeadSelfAttention::Cache cache;
-  att.forward(x, &cache);
+  att.forward(x, cache);
   ASSERT_EQ(cache.probs.size(), 2u);
   for (const Tensor& probs : cache.probs) {
     ASSERT_EQ(probs.dim(0), 4);
@@ -79,9 +85,9 @@ TEST(AttentionTest, PermutingOtherTokensChangesOutput) {
   util::Rng rng(5);
   MultiHeadSelfAttention att("att", tiny_config(), rng);
   Tensor x = Tensor::randn({3, 8}, rng);
-  const Tensor y1 = att.forward(x, nullptr);
+  const Tensor y1 = forward(att, x);
   for (int j = 0; j < 8; ++j) x.at(2, j) = 0.0f;
-  const Tensor y2 = att.forward(x, nullptr);
+  const Tensor y2 = forward(att, x);
   float diff = 0.0f;
   for (int j = 0; j < 8; ++j) diff += std::abs(y1.at(0, j) - y2.at(0, j));
   EXPECT_GT(diff, 1e-4f);
@@ -94,11 +100,11 @@ TEST(AttentionTest, GradcheckInputAndWeights) {
   const Tensor w = Tensor::randn({3, 8}, rng);  // loss weights
 
   auto loss = [&]() {
-    return tensor::mul(att.forward(x, nullptr), w).sum();
+    return tensor::mul(forward(att, x), w).sum();
   };
 
   MultiHeadSelfAttention::Cache cache;
-  att.forward(x, &cache);
+  att.forward(x, cache);
   for (auto* p : att.parameters()) p->zero_grad();
   const Tensor dx = att.backward(w, cache);
 
@@ -116,7 +122,7 @@ TEST(AttentionTest, RejectsWrongWidth) {
   util::Rng rng(7);
   MultiHeadSelfAttention att("att", tiny_config(), rng);
   const Tensor x = Tensor::randn({3, 4}, rng);
-  EXPECT_THROW(att.forward(x, nullptr), util::CheckError);
+  EXPECT_THROW(forward(att, x), util::CheckError);
 }
 
 }  // namespace

@@ -35,13 +35,20 @@ EncodedSequence make_sequence(int n, const BertConfig& c, util::Rng& rng) {
   return s;
 }
 
+/// Training forward with a throwaway cache.
+Tensor forward(const BertEmbeddings& emb, const EncodedSequence& s,
+               util::Rng& rng) {
+  BertEmbeddings::Cache cache;
+  return emb.forward(s, rng, cache);
+}
+
 TEST(EmbeddingsTest, OutputShape) {
   util::Rng rng(1);
   const BertConfig c = tiny_config();
   BertEmbeddings emb(c, rng);
   const EncodedSequence s = make_sequence(5, c, rng);
   util::Rng drop_rng(2);
-  const Tensor y = emb.forward(s, false, drop_rng, nullptr);
+  const Tensor y = forward(emb, s, drop_rng);
   EXPECT_EQ(y.dim(0), 5);
   EXPECT_EQ(y.dim(1), 8);
 }
@@ -52,7 +59,7 @@ TEST(EmbeddingsTest, RowsAreLayerNormalized) {
   BertEmbeddings emb(c, rng);
   const EncodedSequence s = make_sequence(4, c, rng);
   util::Rng drop_rng(3);
-  const Tensor y = emb.forward(s, false, drop_rng, nullptr);
+  const Tensor y = forward(emb, s, drop_rng);
   for (int i = 0; i < 4; ++i) {
     double mean = 0;
     for (int j = 0; j < 8; ++j) mean += y.at(i, j);
@@ -70,8 +77,8 @@ TEST(EmbeddingsTest, AblationFlagsChangeOutput) {
   BertEmbeddings emb2(without_tree, rng2);
   const EncodedSequence s = make_sequence(4, with_tree, rng);
   util::Rng d1(5), d2(5);
-  const Tensor y1 = emb1.forward(s, false, d1, nullptr);
-  const Tensor y2 = emb2.forward(s, false, d2, nullptr);
+  const Tensor y1 = forward(emb1, s, d1);
+  const Tensor y2 = forward(emb2, s, d2);
   EXPECT_FALSE(allclose(y1, y2, 1e-6f));
 }
 
@@ -82,9 +89,9 @@ TEST(EmbeddingsTest, TreeCodeInfluencesOutputOnlyWhenEnabled) {
   BertEmbeddings emb(c, rng);
   EncodedSequence s = make_sequence(3, c, rng);
   util::Rng d1(7), d2(7);
-  const Tensor y1 = emb.forward(s, false, d1, nullptr);
+  const Tensor y1 = forward(emb, s, d1);
   s.tree_codes.fill(1.0f);  // radically different codes
-  const Tensor y2 = emb.forward(s, false, d2, nullptr);
+  const Tensor y2 = forward(emb, s, d2);
   EXPECT_TRUE(allclose(y1, y2));
 }
 
@@ -96,22 +103,22 @@ TEST(EmbeddingsTest, RejectsBadInputs) {
 
   EncodedSequence empty;
   empty.tree_codes = Tensor({1, c.tree_code_dim});
-  EXPECT_THROW(emb.forward(empty, false, drop_rng, nullptr),
+  EXPECT_THROW(forward(emb, empty, drop_rng),
                util::CheckError);
 
   EncodedSequence bad_token = make_sequence(2, c, rng);
   bad_token.token_ids[0] = c.vocab_size;
-  EXPECT_THROW(emb.forward(bad_token, false, drop_rng, nullptr),
+  EXPECT_THROW(forward(emb, bad_token, drop_rng),
                util::CheckError);
 
   EncodedSequence bad_pos = make_sequence(2, c, rng);
   bad_pos.position_ids[1] = c.max_seq_len;
-  EXPECT_THROW(emb.forward(bad_pos, false, drop_rng, nullptr),
+  EXPECT_THROW(forward(emb, bad_pos, drop_rng),
                util::CheckError);
 
   EncodedSequence bad_tree = make_sequence(2, c, rng);
   bad_tree.tree_codes = Tensor({2, c.tree_code_dim + 2});
-  EXPECT_THROW(emb.forward(bad_tree, false, drop_rng, nullptr),
+  EXPECT_THROW(forward(emb, bad_tree, drop_rng),
                util::CheckError);
 }
 
@@ -125,11 +132,11 @@ TEST(EmbeddingsTest, GradcheckThroughLayerNorm) {
 
   auto loss = [&]() {
     util::Rng r(1);
-    return tensor::mul(emb.forward(s, false, r, nullptr), w).sum();
+    return tensor::mul(forward(emb, s, r), w).sum();
   };
 
   BertEmbeddings::Cache cache;
-  emb.forward(s, false, drop_rng, &cache);
+  emb.forward(s, drop_rng, cache);
   for (auto* p : emb.parameters()) p->zero_grad();
   emb.backward(w, cache);
 

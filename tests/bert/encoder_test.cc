@@ -27,7 +27,8 @@ TEST(EncoderLayerTest, PreservesShape) {
   EncoderLayer layer("enc", tiny_config(), rng);
   const Tensor x = Tensor::randn({6, 8}, rng);
   util::Rng drop_rng(2);
-  const Tensor y = layer.forward(x, false, drop_rng, nullptr);
+  EncoderLayer::Cache cache;
+  const Tensor y = layer.forward(x, drop_rng, cache);
   EXPECT_EQ(y.dim(0), 6);
   EXPECT_EQ(y.dim(1), 8);
 }
@@ -37,7 +38,8 @@ TEST(EncoderLayerTest, OutputRowsAreNormalized) {
   EncoderLayer layer("enc", tiny_config(), rng);
   const Tensor x = Tensor::randn({4, 8}, rng, 5.0f);
   util::Rng drop_rng(3);
-  const Tensor y = layer.forward(x, false, drop_rng, nullptr);
+  EncoderLayer::Cache cache;
+  const Tensor y = layer.forward(x, drop_rng, cache);
   // Final LayerNorm with default gamma=1, beta=0: each row ~zero mean.
   for (int i = 0; i < 4; ++i) {
     double mean = 0;
@@ -55,11 +57,12 @@ TEST(EncoderLayerTest, GradcheckThroughFullLayer) {
 
   auto loss = [&]() {
     util::Rng r(4);
-    return tensor::mul(layer.forward(x, false, r, nullptr), w).sum();
+    EncoderLayer::Cache scratch;
+    return tensor::mul(layer.forward(x, r, scratch), w).sum();
   };
 
   EncoderLayer::Cache cache;
-  layer.forward(x, false, drop_rng, &cache);
+  layer.forward(x, drop_rng, cache);
   for (auto* p : layer.parameters()) p->zero_grad();
   const Tensor dx = layer.backward(w, cache);
 
@@ -73,21 +76,24 @@ TEST(EncoderLayerTest, GradcheckThroughFullLayer) {
 }
 
 TEST(EncoderLayerTest, DropoutChangesTrainingOutputOnly) {
-  BertConfig c = tiny_config();
-  c.dropout = 0.5f;
-  util::Rng rng(5);
-  EncoderLayer layer("enc", c, rng);
-  const Tensor x = Tensor::randn({4, 8}, rng);
-  util::Rng d1(10), d2(20);
-  // Eval mode ignores dropout RNG entirely.
-  const Tensor e1 = layer.forward(x, false, d1, nullptr);
-  const Tensor e2 = layer.forward(x, false, d2, nullptr);
-  EXPECT_TRUE(allclose(e1, e2));
-  // Training mode with different RNG streams differs.
-  util::Rng t1(10), t2(20);
-  const Tensor y1 = layer.forward(x, true, t1, nullptr);
-  const Tensor y2 = layer.forward(x, true, t2, nullptr);
-  EXPECT_FALSE(allclose(y1, y2, 1e-6f));
+  // Only an active dropout draws from the RNG: at rate 0 two different
+  // streams give the same output, at rate 0.5 they differ. (Inference never
+  // runs dropout at all; InferenceTest.DropoutNeverRunsAtInference.)
+  const Tensor x = [] {
+    util::Rng rng(6);
+    return Tensor::randn({4, 8}, rng);
+  }();
+  for (const float rate : {0.0f, 0.5f}) {
+    BertConfig c = tiny_config();
+    c.dropout = rate;
+    util::Rng rng(5);
+    EncoderLayer layer("enc", c, rng);
+    util::Rng t1(10), t2(20);
+    EncoderLayer::Cache c1, c2;
+    const Tensor y1 = layer.forward(x, t1, c1);
+    const Tensor y2 = layer.forward(x, t2, c2);
+    EXPECT_EQ(allclose(y1, y2, 1e-6f), rate == 0.0f) << "rate " << rate;
+  }
 }
 
 TEST(EncoderLayerTest, ParameterCount) {

@@ -43,20 +43,27 @@ EncodedSequence make_sequence(const std::vector<int>& tokens,
   return s;
 }
 
+/// Training attention forward with a throwaway cache.
+Tensor forward(const MultiHeadSelfAttention& att, const Tensor& x,
+               int valid_len) {
+  MultiHeadSelfAttention::Cache cache;
+  return att.forward(x, cache, valid_len);
+}
+
 TEST(MaskingTest, AttentionMaskedForwardIgnoresPadContent) {
+  // Through the inference forward: whatever sits in the padded positions
+  // (token ids, tree codes), the score is bit-identical.
   const BertConfig c = tiny_config();
-  util::Rng rng(1);
-  MultiHeadSelfAttention att("att", c, rng);
-  Tensor x = Tensor::randn({6, 16}, rng);
-  const Tensor masked1 = att.forward(x, nullptr, 4);
-  // Change the padded rows' content entirely.
-  for (int i = 4; i < 6; ++i)
-    for (int j = 0; j < 16; ++j) x.at(i, j) = 42.0f + i + j;
-  const Tensor masked2 = att.forward(x, nullptr, 4);
-  // Valid rows are bit-identical regardless of pad content.
-  for (int i = 0; i < 4; ++i)
-    for (int j = 0; j < 16; ++j)
-      EXPECT_EQ(masked1.at(i, j), masked2.at(i, j)) << i << "," << j;
+  const BertPairClassifier model(c);
+  const EncodedSequence padded = make_sequence({1, 5, 3, 7}, c, 9);
+  EncodedSequence scrambled = padded;
+  for (int i = padded.valid_len; i < padded.length(); ++i) {
+    scrambled.token_ids[static_cast<std::size_t>(i)] = 1 + i % 11;
+    for (int j = 0; j < c.tree_code_dim; ++j)
+      scrambled.tree_codes.at(i, j) = static_cast<float>((i + j) % 2);
+  }
+  EXPECT_EQ(model.predict_same_word_probability(padded),
+            model.predict_same_word_probability(scrambled));
 }
 
 TEST(MaskingTest, ZeroValidLenMeansNoMask) {
@@ -64,8 +71,7 @@ TEST(MaskingTest, ZeroValidLenMeansNoMask) {
   util::Rng rng(2);
   MultiHeadSelfAttention att("att", c, rng);
   const Tensor x = Tensor::randn({4, 16}, rng);
-  EXPECT_TRUE(allclose(att.forward(x, nullptr, 0),
-                       att.forward(x, nullptr, 4)));
+  EXPECT_TRUE(allclose(forward(att, x, 0), forward(att, x, 4)));
 }
 
 TEST(MaskingTest, MaskedProbsAreExactlyZero) {
@@ -74,7 +80,7 @@ TEST(MaskingTest, MaskedProbsAreExactlyZero) {
   MultiHeadSelfAttention att("att", c, rng);
   const Tensor x = Tensor::randn({5, 16}, rng);
   MultiHeadSelfAttention::Cache cache;
-  att.forward(x, &cache, 3);
+  att.forward(x, cache, 3);
   for (const Tensor& probs : cache.probs)
     for (int i = 0; i < 5; ++i) {
       for (int j = 3; j < 5; ++j) EXPECT_EQ(probs.at(i, j), 0.0f);
@@ -89,8 +95,8 @@ TEST(MaskingTest, AttentionRejectsBadValidLen) {
   util::Rng rng(4);
   MultiHeadSelfAttention att("att", c, rng);
   const Tensor x = Tensor::randn({3, 16}, rng);
-  EXPECT_THROW(att.forward(x, nullptr, 4), util::CheckError);
-  EXPECT_THROW(att.forward(x, nullptr, -1), util::CheckError);
+  EXPECT_THROW(forward(att, x, 4), util::CheckError);
+  EXPECT_THROW(forward(att, x, -1), util::CheckError);
 }
 
 TEST(MaskingTest, PaddedPredictionEqualsUnpadded) {

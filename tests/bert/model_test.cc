@@ -92,12 +92,13 @@ TEST(ModelTest, PaperConfigConstructsWithBertBaseScale) {
 TEST(ModelTest, TrainStepReducesLossOnOneExample) {
   BertPairClassifier model(tiny_config());
   const EncodedSequence s = make_sequence({1, 2, 3, 4}, tiny_config());
-  tensor::Adam opt(model.parameters());
   const double initial = model.eval_loss(s, 1);
+  tensor::Adam opt(model.parameters());
   for (int i = 0; i < 30; ++i) {
     model.train_step_accumulate(s, 1);
     opt.step(1e-3);
   }
+  model.pack_weights();
   EXPECT_LT(model.eval_loss(s, 1), initial);
 }
 
@@ -130,6 +131,7 @@ TEST(ModelTest, SaveLoadRoundTripPreservesPredictions) {
   tensor::Adam opt(model.parameters());
   model.train_step_accumulate(s, 1);
   opt.step(1e-3);
+  model.pack_weights();
   const double p_before = model.predict_same_word_probability(s);
 
   const std::string path = ::testing::TempDir() + "/rebert_model.bin";
@@ -150,7 +152,10 @@ TEST(ModelTest, GradcheckEndToEnd) {
   c.num_layers = 1;
   BertPairClassifier model(c);
   const EncodedSequence s = make_sequence({1, 2, 3}, c);
-  auto loss = [&]() { return model.eval_loss(s, 1); };
+  auto loss = [&]() {
+    model.pack_weights();  // check_gradient perturbs weights in place
+    return model.eval_loss(s, 1);
+  };
 
   for (auto* p : model.parameters()) p->zero_grad();
   model.train_step_accumulate(s, 1);

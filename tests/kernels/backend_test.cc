@@ -83,6 +83,7 @@ TEST(BackendTest, EveryTableEntryIsPopulated) {
     if (!backend_available(backend)) continue;
     const KernelTable& table = table_for(backend);
     EXPECT_NE(table.gemm, nullptr);
+    EXPECT_NE(table.gemm_packed, nullptr);
     EXPECT_NE(table.gemm_tn, nullptr);
     EXPECT_NE(table.gemm_nt, nullptr);
     EXPECT_NE(table.add_row_bias, nullptr);

@@ -52,10 +52,13 @@ TEST_P(DispatchModelTest, LinearGradcheckPasses) {
   tensor::Linear linear("lin", 9, 11, rng);
   const Tensor x = Tensor::randn({5, 9}, rng);
   tensor::Linear::Cache cache;
-  linear.forward(x, &cache);
+  linear.forward(x, cache);
   const Tensor dy = Tensor::full({5, 11}, 1.0f);
   linear.backward(dy, cache);
-  const auto loss = [&] { return linear.forward(x, nullptr).sum(); };
+  const auto loss = [&] {
+    tensor::Linear::Cache scratch;
+    return linear.forward(x, scratch).sum();
+  };
   const auto weight_result =
       tensor::check_gradient(&linear.weight.value, linear.weight.grad, loss);
   EXPECT_TRUE(weight_result.ok)
@@ -71,10 +74,13 @@ TEST_P(DispatchModelTest, LayerNormGradcheckPasses) {
   tensor::LayerNorm norm("ln", 13);
   const Tensor x = Tensor::randn({4, 13}, rng, 2.0f);
   tensor::LayerNorm::Cache cache;
-  norm.forward(x, &cache);
+  norm.forward(x, cache);
   const Tensor dy = Tensor::full({4, 13}, 1.0f);
   norm.backward(dy, cache);
-  const auto loss = [&] { return norm.forward(x, nullptr).sum(); };
+  const auto loss = [&] {
+    tensor::LayerNorm::Cache scratch;
+    return norm.forward(x, scratch).sum();
+  };
   const auto result =
       tensor::check_gradient(&norm.gamma.value, norm.gamma.grad, loss);
   EXPECT_TRUE(result.ok) << "gamma max_rel_error=" << result.max_rel_error;
@@ -91,21 +97,34 @@ TEST_P(DispatchModelTest, GeluGradientMatchesFiniteDifferences) {
 }
 
 TEST_P(DispatchModelTest, AttentionCachedAndUncachedForwardsAgree) {
-  // The inference path routes projections and per-head temporaries
-  // through the scratch arena; the training path keeps tensors for
-  // backward. Same math, so outputs must match exactly.
+  // The training attention projects Q, K and V separately and caches the
+  // head probabilities; the inference forward reads them from one fused
+  // [n, 3H] buffer through the same head core and caches nothing. Same
+  // math, so the head outputs must match exactly.
   util::Rng rng(24);
   bert::BertConfig config;
   config.hidden = 24;
   config.num_heads = 3;
   bert::MultiHeadSelfAttention attention("attn", config, rng);
-  const Tensor x = Tensor::randn({7, 24}, rng);
+  const int n = 7, hidden = 24;
+  const Tensor x = Tensor::randn({n, hidden}, rng);
   bert::MultiHeadSelfAttention::Cache cache;
-  const Tensor cached = attention.forward(x, &cache, /*valid_len=*/5);
-  const Tensor uncached = attention.forward(x, nullptr, /*valid_len=*/5);
-  ASSERT_TRUE(cached.same_shape(uncached));
-  for (std::int64_t i = 0; i < cached.numel(); ++i)
-    ASSERT_EQ(cached[i], uncached[i]) << "flat index " << i;
+  attention.forward(x, cache, /*valid_len=*/5);
+
+  Tensor qkv({n, 3 * hidden});
+  for (int i = 0; i < n; ++i)
+    for (int j = 0; j < hidden; ++j) {
+      qkv.at(i, j) = cache.q.at(i, j);
+      qkv.at(i, hidden + j) = cache.k.at(i, j);
+      qkv.at(i, 2 * hidden + j) = cache.v.at(i, j);
+    }
+  Tensor uncached({n, hidden});
+  bert::attend_heads(qkv.data(), qkv.data() + hidden,
+                     qkv.data() + 2 * hidden, 3 * hidden, n,
+                     config.num_heads, config.head_dim(), /*valid_len=*/5,
+                     uncached.data(), nullptr);
+  for (std::int64_t i = 0; i < uncached.numel(); ++i)
+    ASSERT_EQ(cache.concat[i], uncached[i]) << "flat index " << i;
 }
 
 TEST_P(DispatchModelTest, AttentionPropagatesNaNInput) {
@@ -118,7 +137,8 @@ TEST_P(DispatchModelTest, AttentionPropagatesNaNInput) {
   bert::MultiHeadSelfAttention attention("attn", config, rng);
   Tensor x = Tensor::randn({5, 16}, rng);
   x.at(2, 3) = std::numeric_limits<float>::quiet_NaN();
-  const Tensor y = attention.forward(x, nullptr, 0);
+  bert::MultiHeadSelfAttention::Cache cache;
+  const Tensor y = attention.forward(x, cache);
   bool any_nan = false;
   for (std::int64_t i = 0; i < y.numel(); ++i)
     any_nan = any_nan || std::isnan(y[i]);

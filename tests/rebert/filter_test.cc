@@ -2,8 +2,33 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <unordered_map>
+
+#include "util/rng.h"
+
 namespace rebert::core {
 namespace {
+
+/// The per-token count form of the bag Jaccard: sum of min counts over sum
+/// of max counts, from two hash maps. The sorted-merge implementation must
+/// reproduce it exactly.
+double hash_map_jaccard(const std::vector<int>& a, const std::vector<int>& b) {
+  if (a.empty() && b.empty()) return 1.0;
+  std::unordered_map<int, int> count_a, count_b;
+  for (int t : a) ++count_a[t];
+  for (int t : b) ++count_b[t];
+  long long intersection = 0, uni = 0;
+  for (const auto& [token, ca] : count_a) {
+    const auto it = count_b.find(token);
+    const int cb = it == count_b.end() ? 0 : it->second;
+    intersection += std::min(ca, cb);
+    uni += std::max(ca, cb);
+  }
+  for (const auto& [token, cb] : count_b)
+    if (!count_a.count(token)) uni += cb;
+  return static_cast<double>(intersection) / static_cast<double>(uni);
+}
 
 TEST(JaccardTest, IdenticalSequencesScoreOne) {
   EXPECT_DOUBLE_EQ(jaccard_similarity({1, 2, 3}, {1, 2, 3}), 1.0);
@@ -34,6 +59,32 @@ TEST(JaccardTest, SymmetricAndBounded) {
   EXPECT_DOUBLE_EQ(ab, jaccard_similarity(b, a));
   EXPECT_GT(ab, 0.0);
   EXPECT_LT(ab, 1.0);
+}
+
+TEST(JaccardTest, SortedMergeMatchesHashMapReference) {
+  // Seeded random bags over a small alphabet, so repeated tokens are
+  // common; lengths start at 0 to cover empty bags on either side.
+  util::Rng rng(2024);
+  for (int trial = 0; trial < 4000; ++trial) {
+    const int alphabet = rng.uniform_int(1, 8);
+    std::vector<int> a(static_cast<std::size_t>(rng.uniform_int(0, 24)));
+    std::vector<int> b(static_cast<std::size_t>(rng.uniform_int(0, 24)));
+    for (int& t : a) t = rng.uniform_int(0, alphabet - 1);
+    for (int& t : b) t = rng.uniform_int(0, alphabet - 1);
+    const double want = hash_map_jaccard(a, b);
+    ASSERT_EQ(jaccard_similarity(a, b), want) << "trial " << trial;
+    std::vector<BitSequence> bits(2);
+    bits[0].token_ids = a;
+    bits[1].token_ids = b;
+    const SortedBags bags(bits);
+    ASSERT_EQ(sorted_bag_jaccard(bags.bag(0), bags.bag(1)), want)
+        << "trial " << trial;
+    const FilterOptions filter;
+    ASSERT_EQ(passes_filter(bits[0], bits[1], filter),
+              want >= filter.threshold);
+    ASSERT_EQ(bags_pass_filter(bags.bag(0), bags.bag(1), filter),
+              want >= filter.threshold);
+  }
 }
 
 TEST(FilterTest, ThresholdGatesPairs) {

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+
 #include "nl/parser.h"
 #include "util/check.h"
+#include "util/rng.h"
 
 namespace rebert::core {
 namespace {
@@ -159,6 +163,96 @@ TEST(TokenizerTest, PaddingFillsToFixedLength) {
   const bert::EncodedSequence unpadded = small_pad.encode_pair(seq, seq);
   EXPECT_EQ(unpadded.length(), 15);
   EXPECT_EQ(unpadded.valid_len, 0);
+}
+
+/// Straightforward encode_pair: one code row per token collected first,
+/// then copied into the tensor. The in-place encoder must match it byte
+/// for byte.
+bert::EncodedSequence reference_encode(const TokenizerOptions& options,
+                                       const BitSequence& a,
+                                       const BitSequence& b) {
+  const Vocabulary& vocab = vocabulary();
+  const int width = options.tree_code_dim;
+  const std::vector<std::uint8_t> zero(static_cast<std::size_t>(width), 0);
+  const int budget = options.max_seq_len - 3;
+  int take_a = static_cast<int>(a.token_ids.size());
+  int take_b = static_cast<int>(b.token_ids.size());
+  if (take_a + take_b > budget) {
+    const double scale =
+        static_cast<double>(budget) / static_cast<double>(take_a + take_b);
+    take_a = std::max(1, static_cast<int>(take_a * scale));
+    take_b = std::max(1, std::min(budget - take_a, take_b));
+  }
+  bert::EncodedSequence out;
+  std::vector<std::vector<std::uint8_t>> codes;
+  const auto push = [&](int id, const std::vector<std::uint8_t>& code) {
+    out.token_ids.push_back(id);
+    codes.push_back(code);
+  };
+  push(vocab.cls_id(), zero);
+  for (int i = 0; i < take_a; ++i)
+    push(a.token_ids[static_cast<std::size_t>(i)],
+         a.tree_codes[static_cast<std::size_t>(i)]);
+  push(vocab.sep_id(), zero);
+  for (int i = 0; i < take_b; ++i)
+    push(b.token_ids[static_cast<std::size_t>(i)],
+         b.tree_codes[static_cast<std::size_t>(i)]);
+  push(vocab.sep_id(), zero);
+  if (static_cast<int>(out.token_ids.size()) < options.pad_to) {
+    out.valid_len = static_cast<int>(out.token_ids.size());
+    while (static_cast<int>(out.token_ids.size()) < options.pad_to)
+      push(vocab.pad_id(), zero);
+  }
+  const int n = static_cast<int>(out.token_ids.size());
+  for (int i = 0; i < n; ++i) out.position_ids.push_back(i);
+  out.tree_codes = tensor::Tensor({n, width});
+  for (int i = 0; i < n; ++i)
+    for (int j = 0; j < width; ++j)
+      out.tree_codes.at(i, j) =
+          codes[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)];
+  return out;
+}
+
+TEST(TokenizerTest, EncodePairMatchesReferenceEncoder) {
+  // Random bit sequences through truncation (long pairs, small
+  // max_seq_len) and padding (pad_to above and below the pair length).
+  util::Rng rng(77);
+  const int width = 8;
+  const auto random_bit = [&](int length) {
+    BitSequence bit;
+    for (int i = 0; i < length; ++i) {
+      bit.token_ids.push_back(rng.uniform_int(4, 20));
+      std::vector<std::uint8_t> code(width);
+      for (auto& c : code) c = rng.bernoulli(0.5) ? 1 : 0;
+      bit.tree_codes.push_back(code);
+    }
+    return bit;
+  };
+  for (const int max_seq_len : {16, 40, 128}) {
+    for (const int pad_to : {0, 12, 16}) {
+      if (pad_to > max_seq_len) continue;
+      const TokenizerOptions options{.backtrace_depth = 4,
+                                     .tree_code_dim = width,
+                                     .max_seq_len = max_seq_len,
+                                     .pad_to = pad_to};
+      const Tokenizer tokenizer(options);
+      for (int trial = 0; trial < 30; ++trial) {
+        const BitSequence a = random_bit(rng.uniform_int(1, 50));
+        const BitSequence b = random_bit(rng.uniform_int(1, 50));
+        const bert::EncodedSequence got = tokenizer.encode_pair(a, b);
+        const bert::EncodedSequence want = reference_encode(options, a, b);
+        ASSERT_EQ(got.token_ids, want.token_ids);
+        ASSERT_EQ(got.position_ids, want.position_ids);
+        ASSERT_EQ(got.valid_len, want.valid_len);
+        ASSERT_EQ(got.tree_codes.shape(), want.tree_codes.shape());
+        ASSERT_EQ(std::memcmp(got.tree_codes.data(), want.tree_codes.data(),
+                              static_cast<std::size_t>(got.tree_codes.numel()) *
+                                  sizeof(float)),
+                  0)
+            << "max_seq_len=" << max_seq_len << " pad_to=" << pad_to;
+      }
+    }
+  }
 }
 
 TEST(TokenizerTest, RejectsBadOptions) {

@@ -92,6 +92,31 @@ TEST(ScoreAllPairsTest, ExternalPoolGivesSameMatrix) {
   expect_identical(serial, pooled);
 }
 
+TEST(ScoreAllPairsTest, EveryGrainCoversEachPairOnce) {
+  // Chunks of `grain` pairs are decoded back to (i, j): at any bit count
+  // and any grain — dividing the pair count or not, larger than it or
+  // not — every cell matches the row-by-row serial builder.
+  Fixture f;
+  ASSERT_GE(f.bits.size(), 12u);
+  FilterOptions off;
+  off.enabled = false;  // score every pair, so every cell is checked
+  for (std::size_t n = 1; n <= 12; ++n) {
+    const std::vector<BitSequence> bits(f.bits.begin(),
+                                        f.bits.begin() +
+                                            static_cast<std::ptrdiff_t>(n));
+    const ScoreMatrix reference = build_score_matrix_with_model(
+        bits, f.tokenizer, off, f.model, nullptr);
+    for (const int grain : {1, 2, 5, 32, 1000}) {
+      ScoringOptions options;
+      options.grain = grain;
+      options.num_threads = grain == 5 ? 3 : 1;
+      expect_identical(reference,
+                       score_all_pairs(bits, f.tokenizer, off, f.model,
+                                       nullptr, options));
+    }
+  }
+}
+
 TEST(ScoreAllPairsTest, RespectsFilterInParallel) {
   Fixture f;
   ScoringOptions options;

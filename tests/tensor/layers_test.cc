@@ -16,7 +16,8 @@ TEST(LinearTest, ForwardShapeAndBias) {
   layer.weight.value.at(2, 1) = 2.0f;  // y1 = 2 x2
   layer.bias.value[1] = 0.5f;
   const Tensor x = Tensor::from_vector({1, 10, 100}).reshaped({1, 3});
-  const Tensor y = layer.forward(x, nullptr);
+  Linear::Cache cache;
+  const Tensor y = layer.forward(x, cache);
   EXPECT_FLOAT_EQ(y.at(0, 0), 1.0f);
   EXPECT_FLOAT_EQ(y.at(0, 1), 200.5f);
 }
@@ -27,11 +28,11 @@ TEST(LinearTest, GradcheckWeightBiasInput) {
   const Tensor x = Tensor::randn({5, 4}, rng);
   // Loss = sum(forward(x)).
   auto loss = [&]() {
-    const Tensor y = layer.forward(x, nullptr);
-    return y.sum();
+    Linear::Cache scratch;
+    return layer.forward(x, scratch).sum();
   };
   Linear::Cache cache;
-  const Tensor y = layer.forward(x, &cache);
+  const Tensor y = layer.forward(x, cache);
   const Tensor dy = Tensor::full(y.shape(), 1.0f);
   layer.weight.zero_grad();
   layer.bias.zero_grad();
@@ -45,7 +46,10 @@ TEST(LinearTest, GradcheckWeightBiasInput) {
 
   // Input gradient: loss as function of x entries.
   Tensor x_copy = x;
-  auto loss_x = [&]() { return layer.forward(x_copy, nullptr).sum(); };
+  auto loss_x = [&]() {
+    Linear::Cache scratch;
+    return layer.forward(x_copy, scratch).sum();
+  };
   const auto xres = check_gradient(&x_copy, dx, loss_x);
   EXPECT_TRUE(xres.ok) << "input rel err " << xres.max_rel_error;
 }
@@ -55,7 +59,7 @@ TEST(LinearTest, GradientsAccumulateAcrossCalls) {
   Linear layer("l", 2, 2, rng);
   const Tensor x = Tensor::randn({1, 2}, rng);
   Linear::Cache cache;
-  layer.forward(x, &cache);
+  layer.forward(x, cache);
   const Tensor dy = Tensor::full({1, 2}, 1.0f);
   layer.backward(dy, cache);
   const double norm1 = layer.weight.grad.norm();
@@ -67,7 +71,8 @@ TEST(LayerNormTest, NormalizesRows) {
   LayerNorm norm("ln", 4);
   const Tensor x =
       Tensor::from_vector({1, 2, 3, 4, -10, 0, 10, 20}).reshaped({2, 4});
-  const Tensor y = norm.forward(x, nullptr);
+  LayerNorm::Cache cache;
+  const Tensor y = norm.forward(x, cache);
   for (int i = 0; i < 2; ++i) {
     double mean = 0, var = 0;
     for (int j = 0; j < 4; ++j) mean += y.at(i, j);
@@ -84,7 +89,8 @@ TEST(LayerNormTest, GammaBetaApplied) {
   norm.gamma.value[0] = 2.0f;
   norm.beta.value[1] = 5.0f;
   const Tensor x = Tensor::from_vector({1, 3}).reshaped({1, 2});
-  const Tensor y = norm.forward(x, nullptr);
+  LayerNorm::Cache cache;
+  const Tensor y = norm.forward(x, cache);
   // normalized = {-1, 1}: y0 = -2, y1 = 1 + 5.
   EXPECT_NEAR(y.at(0, 0), -2.0f, 1e-3);
   EXPECT_NEAR(y.at(0, 1), 6.0f, 1e-3);
@@ -99,11 +105,11 @@ TEST(LayerNormTest, Gradcheck) {
   // Weighted loss so gradients differ per coordinate.
   const Tensor w = Tensor::randn({3, 6}, rng);
   auto loss = [&]() {
-    const Tensor y = norm.forward(x, nullptr);
-    return mul(y, w).sum();
+    LayerNorm::Cache scratch;
+    return mul(norm.forward(x, scratch), w).sum();
   };
   LayerNorm::Cache cache;
-  norm.forward(x, &cache);
+  norm.forward(x, cache);
   norm.gamma.zero_grad();
   norm.beta.zero_grad();
   const Tensor dx = norm.backward(w, cache);
@@ -117,7 +123,7 @@ TEST(EmbeddingTest, LookupAndBackward) {
   util::Rng rng(5);
   Embedding emb("e", 10, 4, rng);
   Embedding::Cache cache;
-  const Tensor out = emb.forward({3, 7, 3}, &cache);
+  const Tensor out = emb.forward({3, 7, 3}, cache);
   EXPECT_EQ(out.dim(0), 3);
   EXPECT_EQ(out.dim(1), 4);
   // Row 0 and 2 identical (same id).
@@ -138,22 +144,15 @@ TEST(EmbeddingTest, Gradcheck) {
   Embedding emb("e", 5, 3, rng);
   const std::vector<int> ids{1, 4, 1};
   const Tensor w = Tensor::randn({3, 3}, rng);
-  auto loss = [&]() { return mul(emb.forward(ids, nullptr), w).sum(); };
+  auto loss = [&]() {
+    Embedding::Cache scratch;
+    return mul(emb.forward(ids, scratch), w).sum();
+  };
   Embedding::Cache cache;
-  emb.forward(ids, &cache);
+  emb.forward(ids, cache);
   emb.table.zero_grad();
   emb.backward(w, cache);
   EXPECT_TRUE(check_gradient(&emb.table.value, emb.table.grad, loss).ok);
-}
-
-TEST(DropoutTest, EvalModeIsIdentity) {
-  util::Rng rng(7);
-  Dropout drop(0.5f);
-  const Tensor x = Tensor::randn({4, 4}, rng);
-  Dropout::Cache cache;
-  const Tensor y = drop.forward(x, /*training=*/false, rng, &cache);
-  EXPECT_TRUE(allclose(y, x));
-  EXPECT_TRUE(allclose(drop.backward(x, cache), x));
 }
 
 TEST(DropoutTest, TrainingDropsAndRescales) {
@@ -161,7 +160,7 @@ TEST(DropoutTest, TrainingDropsAndRescales) {
   Dropout drop(0.5f);
   const Tensor x = Tensor::full({100, 100}, 1.0f);
   Dropout::Cache cache;
-  const Tensor y = drop.forward(x, true, rng, &cache);
+  const Tensor y = drop.forward(x, rng, cache);
   int zeros = 0;
   for (std::int64_t i = 0; i < y.numel(); ++i) {
     if (y[i] == 0.0f)
@@ -179,7 +178,7 @@ TEST(DropoutTest, BackwardUsesSameMask) {
   Dropout drop(0.3f);
   const Tensor x = Tensor::full({10, 10}, 1.0f);
   Dropout::Cache cache;
-  const Tensor y = drop.forward(x, true, rng, &cache);
+  const Tensor y = drop.forward(x, rng, cache);
   const Tensor dx = drop.backward(Tensor::full({10, 10}, 1.0f), cache);
   for (std::int64_t i = 0; i < y.numel(); ++i)
     EXPECT_EQ(dx[i] == 0.0f, y[i] == 0.0f);
@@ -190,7 +189,7 @@ TEST(DropoutTest, ZeroRateIsIdentityEvenInTraining) {
   Dropout drop(0.0f);
   const Tensor x = Tensor::randn({3, 3}, rng);
   Dropout::Cache cache;
-  EXPECT_TRUE(allclose(drop.forward(x, true, rng, &cache), x));
+  EXPECT_TRUE(allclose(drop.forward(x, rng, cache), x));
 }
 
 TEST(ClipGradientsTest, ScalesDownLargeGradients) {
