@@ -306,11 +306,13 @@ int cmd_recover(const util::FlagParser& flags) {
     const core::RecoveryResult& result = artifacts.result;
     labels = result.labels;
     std::printf("ReBERT: %d words in %.3fs (%.0f%% filtered, %.0f%% cache "
-                "hits) tokenize=%.3fs score=%.3fs group=%.3fs\n",
+                "hits) tokenize=%.3fs score=%.3fs group=%.3fs "
+                "sequence_classes=%d scored_class_pairs=%zu\n",
                 result.num_words, result.total_seconds,
                 result.filtered_fraction * 100.0,
                 result.cache_hit_rate * 100.0, result.tokenize_seconds,
-                result.scoring_seconds, result.grouping_seconds);
+                result.scoring_seconds, result.grouping_seconds,
+                result.sequence_classes, result.scored_class_pairs);
     if (!cache_file.empty()) {
       persist::save_cache(cache, cache_file);
       std::printf("cache: saved %zu entries to %s\n", cache.size(),
@@ -320,11 +322,15 @@ int cmd_recover(const util::FlagParser& flags) {
       const core::WordReport report = core::make_word_report(
           artifacts.bits, artifacts.scores, result.labels);
       if (flags.get_bool("json", false)) {
-        // The word report's JSON object, led by the phase split.
+        // The word report's JSON object, led by the phase split and the
+        // class counts scoring ran over.
         std::printf("{\"tokenize_seconds\":%.6f,\"score_seconds\":%.6f,"
-                    "\"group_seconds\":%.6f,\"total_seconds\":%.6f,%s\n",
+                    "\"group_seconds\":%.6f,\"total_seconds\":%.6f,"
+                    "\"sequence_classes\":%d,\"scored_class_pairs\":%zu,"
+                    "%s\n",
                     result.tokenize_seconds, result.scoring_seconds,
                     result.grouping_seconds, result.total_seconds,
+                    result.sequence_classes, result.scored_class_pairs,
                     report.to_json().c_str() + 1);
       } else {
         std::printf("%s", report.to_string().c_str());

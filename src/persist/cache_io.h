@@ -1,7 +1,7 @@
 // Warm-start glue between the RBPC snapshot format and the prediction
 // caches. Header-only templates so persist stays a leaf library: any cache
-// exposing export_entries() / import_entries() (core::PredictionCache and
-// core::ShardedPredictionCache both do) persists through the same two
+// exposing export_entries() / import_entries() (as
+// core::ShardedPredictionCache does) persists through the same two
 // calls, and only the including translation unit pays the dependencies
 // (including rebert_runtime for the cache.load / cache.parse chaos sites —
 // every current includer links it already).

@@ -11,7 +11,7 @@
 //
 // Records are flat (key, score) pairs with no shard structure, so a
 // snapshot written by a 64-shard ShardedPredictionCache warm-starts a
-// 4-shard one — or the serial PredictionCache — unchanged.
+// 4-shard one unchanged.
 //
 // Loading NEVER throws on bad content: a missing, truncated, corrupt, or
 // version-skewed file comes back as a status + diagnostic message, and the

@@ -1,61 +1,55 @@
 #include "rebert/filter.h"
 
 #include <algorithm>
+#include <numeric>
+
+#include "util/check.h"
 
 namespace rebert::core {
 
-double sorted_bag_jaccard(std::span<const int> sorted_a,
-                          std::span<const int> sorted_b) {
-  if (sorted_a.empty() && sorted_b.empty()) return 1.0;
+namespace {
+
+double count_jaccard(std::span<const int> a, std::span<const int> b) {
   long long intersection = 0;
-  auto a = sorted_a.begin();
-  auto b = sorted_b.begin();
-  while (a != sorted_a.end() && b != sorted_b.end()) {
-    if (*a < *b) {
-      ++a;
-    } else if (*b < *a) {
-      ++b;
-    } else {
-      ++intersection;
-      ++a;
-      ++b;
-    }
-  }
-  const long long uni = static_cast<long long>(sorted_a.size()) +
-                        static_cast<long long>(sorted_b.size()) -
-                        intersection;
+  for (std::size_t t = 0; t < std::min(a.size(), b.size()); ++t)
+    intersection += std::min(a[t], b[t]);
+  const long long size_a = std::accumulate(a.begin(), a.end(), 0LL);
+  const long long size_b = std::accumulate(b.begin(), b.end(), 0LL);
+  if (size_a == 0 && size_b == 0) return 1.0;
+  const long long uni = size_a + size_b - intersection;
   return static_cast<double>(intersection) / static_cast<double>(uni);
+}
+
+}  // namespace
+
+std::vector<int> token_counts(const std::vector<int>& token_ids) {
+  int width = 0;
+  for (const int token : token_ids) {
+    REBERT_CHECK_MSG(token >= 0, "token ids must be non-negative");
+    width = std::max(width, token + 1);
+  }
+  std::vector<int> counts(static_cast<std::size_t>(width), 0);
+  for (const int token : token_ids) ++counts[static_cast<std::size_t>(token)];
+  return counts;
 }
 
 double jaccard_similarity(const std::vector<int>& a,
                           const std::vector<int>& b) {
-  std::vector<int> sorted_a = a, sorted_b = b;
-  std::sort(sorted_a.begin(), sorted_a.end());
-  std::sort(sorted_b.begin(), sorted_b.end());
-  return sorted_bag_jaccard(sorted_a, sorted_b);
+  return count_jaccard(token_counts(a), token_counts(b));
 }
 
 bool passes_filter(const BitSequence& a, const BitSequence& b,
                    const FilterOptions& options) {
   if (!options.enabled) return true;
-  return jaccard_similarity(a.token_ids, b.token_ids) >= options.threshold;
+  return counts_pass_filter(token_counts(a.token_ids),
+                            token_counts(b.token_ids), options);
 }
 
-bool bags_pass_filter(std::span<const int> sorted_a,
-                      std::span<const int> sorted_b,
-                      const FilterOptions& options) {
+bool counts_pass_filter(std::span<const int> counts_a,
+                        std::span<const int> counts_b,
+                        const FilterOptions& options) {
   if (!options.enabled) return true;
-  return sorted_bag_jaccard(sorted_a, sorted_b) >= options.threshold;
-}
-
-SortedBags::SortedBags(const std::vector<BitSequence>& bits) {
-  offsets_.reserve(bits.size() + 1);
-  for (const BitSequence& bit : bits) {
-    tokens_.insert(tokens_.end(), bit.token_ids.begin(), bit.token_ids.end());
-    std::sort(tokens_.begin() + static_cast<std::ptrdiff_t>(offsets_.back()),
-              tokens_.end());
-    offsets_.push_back(tokens_.size());
-  }
+  return count_jaccard(counts_a, counts_b) >= options.threshold;
 }
 
 }  // namespace rebert::core

@@ -8,7 +8,6 @@
 // compositions pass; different compositions are cut).
 #pragma once
 
-#include <cstddef>
 #include <span>
 #include <vector>
 
@@ -25,36 +24,19 @@ struct FilterOptions {
 double jaccard_similarity(const std::vector<int>& a,
                           const std::vector<int>& b);
 
-/// jaccard_similarity of two bags already sorted ascending, by one merge:
-/// the intersection pairs equal tokens off one to one and
-/// |a ∪ b| = |a| + |b| - |a ∩ b| — the same integers, so the same double,
-/// as per-token min/max counts.
-double sorted_bag_jaccard(std::span<const int> sorted_a,
-                          std::span<const int> sorted_b);
-
 /// True when the pair should be scored by the model (similarity >=
 /// threshold), false when it should be filtered to score -1.
 bool passes_filter(const BitSequence& a, const BitSequence& b,
                    const FilterOptions& options);
-/// passes_filter for bags already sorted ascending.
-bool bags_pass_filter(std::span<const int> sorted_a,
-                      std::span<const int> sorted_b,
-                      const FilterOptions& options);
 
-/// Every sequence's token bag, sorted, in one buffer: pair loops sort each
-/// bag once per call instead of once per pair.
-class SortedBags {
- public:
-  explicit SortedBags(const std::vector<BitSequence>& bits);
+/// Per-token-id counts of a bag (ids must be non-negative), ending at the
+/// largest id present, so equal bags give equal vectors.
+std::vector<int> token_counts(const std::vector<int>& token_ids);
 
-  std::span<const int> bag(std::size_t i) const {
-    return {tokens_.data() + offsets_[i], offsets_[i + 1] - offsets_[i]};
-  }
-
- private:
-  std::vector<int> tokens_;
-  // Bag i is tokens_[offsets_[i], offsets_[i + 1]).
-  std::vector<std::size_t> offsets_{0};
-};
+/// passes_filter for bags given as token_counts of any widths: Σ min counts
+/// over |a| + |b| - Σ min, the one verdict every scoring path computes.
+bool counts_pass_filter(std::span<const int> counts_a,
+                        std::span<const int> counts_b,
+                        const FilterOptions& options);
 
 }  // namespace rebert::core

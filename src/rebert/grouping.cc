@@ -55,14 +55,22 @@ std::vector<int> group_words(const ScoreMatrix& scores,
   REBERT_CHECK_MSG(options.threshold_factor > 0.0 &&
                        options.threshold_factor < 1.0,
                    "threshold factor must be in (0,1)");
-  const int n = scores.size();
-  UnionFind uf(n);
+  UnionFind uf(scores.size());
   const double max_score = scores.max_score();
   if (max_score > 0.0) {
     const double threshold = max_score * options.threshold_factor;
-    for (int i = 0; i < n; ++i)
-      for (int j = i + 1; j < n; ++j)
-        if (scores.at(i, j) > threshold) uf.unite(i, j);
+    // Edge (c, d) joins every i∈c, j∈d with i < j, and those bits form one
+    // component through lo = min c and hi = max d: every such j exceeds lo
+    // and every such i is below hi, and lo < hi is itself such a pair. A
+    // class paired with itself (lo = min c, hi = max c) joins all members.
+    scores.for_each_edge([&](int c, int d, double score) {
+      if (!(score > threshold)) return;
+      const int lo = scores.members(c).front(), hi = scores.members(d).back();
+      for (const int j : scores.members(d))
+        if (j > lo) uf.unite(lo, j);
+      for (const int i : scores.members(c))
+        if (i < hi) uf.unite(i, hi);
+    });
   }
   return uf.labels();
 }

@@ -3,7 +3,9 @@
 // Threshold = max(score matrix) / 3 — dynamically adapted per circuit, as
 // the paper specifies, because score ranges vary between netlists. Every
 // pair scoring above the threshold becomes a graph edge; connected
-// components are the recovered words.
+// components are the recovered words. The scan runs over the matrix's
+// scored class pairs, uniting O(|c| + |d|) bits per pair, never over n^2
+// bit pairs.
 #pragma once
 
 #include <vector>

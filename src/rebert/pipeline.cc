@@ -36,6 +36,8 @@ RecoveryArtifacts recover_words_detailed(const nl::Netlist& netlist,
   result.scoring_seconds = phase.seconds();
   result.filtered_fraction = artifacts.scores.filtered_fraction();
   result.cache_hit_rate = cache->hit_rate();
+  result.sequence_classes = artifacts.scores.num_classes();
+  result.scored_class_pairs = artifacts.scores.num_edges();
 
   phase.reset();
   result.labels = group_words(artifacts.scores, options.grouping);

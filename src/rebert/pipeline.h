@@ -44,8 +44,10 @@ struct PipelineOptions {
 struct RecoveryResult {
   std::vector<int> labels;        // predicted word label per bit
   int num_words = 0;
-  double filtered_fraction = 0.0; // Jaccard-filtered pairs
-  double cache_hit_rate = 0.0;    // of pairs that reached the model
+  double filtered_fraction = 0.0; // Jaccard-filtered bit pairs
+  double cache_hit_rate = 0.0;    // cache lifetime; a lookup per class pair
+  int sequence_classes = 0;       // distinct (token ids, tree codes)
+  std::size_t scored_class_pairs = 0;  // ordered class pairs scored
   double tokenize_seconds = 0.0;
   double scoring_seconds = 0.0;
   double grouping_seconds = 0.0;

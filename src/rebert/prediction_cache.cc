@@ -45,43 +45,11 @@ std::uint64_t hash_sequence(std::uint64_t seed, const BitSequence& seq) {
 
 std::uint64_t PredictionCache::key_of(const BitSequence& a,
                                       const BitSequence& b) {
-  return hash_sequence(hash_sequence(0x5eedULL, a) * 0x100000001b3ULL, b);
+  return hash_sequence(key_prefix(a), b);
 }
 
-bool PredictionCache::lookup(std::uint64_t key, double* score) const {
-  auto it = entries_.find(key);
-  if (it == entries_.end()) {
-    stats_.record_miss();
-    return false;
-  }
-  stats_.record_hit();
-  if (score) *score = it->second;
-  return true;
-}
-
-void PredictionCache::insert(std::uint64_t key, double score) {
-  entries_.emplace(key, score);
-}
-
-std::vector<std::pair<std::uint64_t, double>>
-PredictionCache::export_entries() const {
-  std::vector<std::pair<std::uint64_t, double>> out(entries_.begin(),
-                                                    entries_.end());
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-std::size_t PredictionCache::import_entries(
-    const std::vector<std::pair<std::uint64_t, double>>& entries) {
-  std::size_t inserted = 0;
-  for (const auto& [key, score] : entries)
-    if (entries_.emplace(key, score).second) ++inserted;
-  return inserted;
-}
-
-void PredictionCache::clear() {
-  entries_.clear();
-  stats_.reset();
+std::uint64_t PredictionCache::key_prefix(const BitSequence& a) {
+  return hash_sequence(0x5eedULL, a) * 0x100000001b3ULL;
 }
 
 ShardedPredictionCache::ShardedPredictionCache(int shards) {
@@ -103,6 +71,20 @@ ShardedPredictionCache::Shard& ShardedPredictionCache::shard_for(
   return *shards_[(mixed >> 32) & shard_mask_];
 }
 
+void ShardedPredictionCache::bump(std::atomic<std::uint64_t>& counter) {
+  // Stop short of the maximum instead of wrapping to 0, which would report
+  // a nonsense hit rate.
+  constexpr std::uint64_t kSaturated = ~0ULL - 1024;
+  if (counter.load(std::memory_order_relaxed) < kSaturated)
+    counter.fetch_add(1, std::memory_order_relaxed);
+}
+
+double ShardedPredictionCache::hit_rate() const {
+  const double h = static_cast<double>(hits());
+  const double total = h + static_cast<double>(misses());
+  return total > 0.0 ? h / total : 0.0;
+}
+
 bool ShardedPredictionCache::lookup(std::uint64_t key, double* score) const {
   Shard& shard = shard_for(key);
   {
@@ -110,7 +92,7 @@ bool ShardedPredictionCache::lookup(std::uint64_t key, double* score) const {
     auto it = shard.entries.find(key);
     if (it != shard.entries.end()) {
       if (score) *score = it->second;
-      stats_.record_hit();
+      bump(hits_);
       return true;
     }
   }
@@ -119,10 +101,10 @@ bool ShardedPredictionCache::lookup(std::uint64_t key, double* score) const {
   // forward and never inserts, so warmed keys stay tier-only.
   const ScoreTier* tier = warm_tier_.load(std::memory_order_acquire);
   if (tier != nullptr && tier->lookup(key, score)) {
-    stats_.record_hit();
+    bump(hits_);
     return true;
   }
-  stats_.record_miss();
+  bump(misses_);
   return false;
 }
 
@@ -203,7 +185,8 @@ void ShardedPredictionCache::clear() {
   // Detach (but keep alive) any warm tier: a concurrent reader may still
   // hold the old pointer, and the owners vector guarantees its pointee.
   warm_tier_.store(nullptr, std::memory_order_release);
-  stats_.reset();
+  hits_.store(0, std::memory_order_relaxed);
+  misses_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace rebert::core

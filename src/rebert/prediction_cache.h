@@ -6,19 +6,18 @@
 // so the model is repeatedly asked to score identical inputs. Scores are
 // deterministic at inference, so memoizing on the (sequence, sequence,
 // tree-code) pair is lossless: the cached pipeline returns bit-identical
-// score matrices while skipping most forward passes. The speedup bench
-// (ablation_cache) measures the effect; on template-rich circuits the hit
-// rate is high.
+// score matrices while skipping forward passes. Within one recover the
+// class scorer already asks once per sequence-class pair (scoring.h), so
+// hits come from earlier recovers, serve requests and warm-start
+// snapshots.
 //
-// Two implementations share the key scheme:
-//   * PredictionCache — single-map cache for serial pipelines. Its
-//     hit/miss statistics are atomic (lookup is const and may be called
-//     from several readers), but the map itself is NOT thread-safe.
-//   * ShardedPredictionCache — mutex-striped cache for the concurrent
-//     runtime: the key space is split across kShards independent maps,
-//     each behind its own mutex, so parallel scorers rarely contend on
-//     the same lock. insert() of the same key from two threads is benign:
-//     inference is deterministic, so both write the same score.
+// PredictionCache holds the key scheme that the cache, RBPC snapshots and
+// the serve engine share. ShardedPredictionCache is the cache itself,
+// mutex-striped for the concurrent runtime: the key space is split across
+// kShards independent maps, each behind its own mutex, so parallel scorers
+// rarely contend on the same lock. insert() of the same key from two
+// threads is benign: inference is deterministic, so both write the same
+// score.
 #pragma once
 
 #include <atomic>
@@ -32,56 +31,6 @@
 #include "util/mutex.h"
 
 namespace rebert::core {
-
-namespace detail {
-
-/// Saturating hit/miss counters shared by both cache flavours. Increments
-/// are relaxed atomics (counters only feed statistics, never control
-/// flow); totals saturate instead of wrapping so hit_rate() stays
-/// meaningful even on absurdly long-lived servers.
-class CacheStats {
- public:
-  void record_hit() { bump(hits_); }
-  void record_miss() { bump(misses_); }
-
-  std::uint64_t hits() const {
-    return hits_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t misses() const {
-    return misses_.load(std::memory_order_relaxed);
-  }
-
-  /// hits / (hits + misses); 0 before any lookup. The sum is computed in
-  /// a wider domain so hits + misses cannot overflow the division.
-  double hit_rate() const {
-    const double h = static_cast<double>(hits());
-    const double m = static_cast<double>(misses());
-    const double total = h + m;
-    return total > 0.0 ? h / total : 0.0;
-  }
-
-  void reset() {
-    hits_.store(0, std::memory_order_relaxed);
-    misses_.store(0, std::memory_order_relaxed);
-  }
-
- private:
-  static void bump(std::atomic<std::uint64_t>& counter) {
-    std::uint64_t current = counter.load(std::memory_order_relaxed);
-    // Saturate at max instead of wrapping to 0 (which would report a
-    // nonsense hit rate). The CAS loop only matters within one increment
-    // of the ceiling; the fast path is a plain fetch_add.
-    if (current >= kSaturated) return;
-    counter.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  static constexpr std::uint64_t kSaturated = ~0ULL - 1024;
-
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
-};
-
-}  // namespace detail
 
 /// A read-only score source layered beneath ShardedPredictionCache's
 /// mutable shards — the hook the zero-copy warm start plugs into: a
@@ -104,35 +53,14 @@ class ScoreTier {
       std::vector<std::pair<std::uint64_t, double>>* out) const = 0;
 };
 
-class PredictionCache {
- public:
+/// Cache keys: a score is stored under the hash of the pair it scores.
+struct PredictionCache {
   /// Order-sensitive key over both sequences' tokens and tree codes
   /// (encode_pair(a, b) and encode_pair(b, a) are different model inputs).
   static std::uint64_t key_of(const BitSequence& a, const BitSequence& b);
-
-  /// Returns true and writes the score on a hit.
-  bool lookup(std::uint64_t key, double* score) const;
-
-  void insert(std::uint64_t key, double score);
-
-  std::size_t size() const { return entries_.size(); }
-  std::uint64_t hits() const { return stats_.hits(); }
-  std::uint64_t misses() const { return stats_.misses(); }
-  double hit_rate() const { return stats_.hit_rate(); }
-
-  /// All entries sorted by key — what persist::save_cache snapshots.
-  std::vector<std::pair<std::uint64_t, double>> export_entries() const;
-
-  /// Warm-start: insert snapshot records (existing keys keep their value,
-  /// statistics untouched). Returns the number of records inserted.
-  std::size_t import_entries(
-      const std::vector<std::pair<std::uint64_t, double>>& entries);
-
-  void clear();
-
- private:
-  mutable detail::CacheStats stats_;
-  std::unordered_map<std::uint64_t, double> entries_;
+  /// key_of(a, b) == hash_sequence(key_prefix(a), b), so a caller pairing
+  /// one sequence with many hashes it once.
+  static std::uint64_t key_prefix(const BitSequence& a);
 };
 
 /// Thread-safe cache for the concurrent runtime: fixed shard count, one
@@ -149,13 +77,17 @@ class ShardedPredictionCache {
 
   int num_shards() const { return static_cast<int>(shards_.size()); }
   std::size_t size() const;  // sum over shards; O(shards)
-  std::uint64_t hits() const { return stats_.hits(); }
-  std::uint64_t misses() const { return stats_.misses(); }
-  double hit_rate() const { return stats_.hit_rate(); }
+  std::uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
+  std::uint64_t misses() const {
+    return misses_.load(std::memory_order_relaxed);
+  }
+  /// hits / (hits + misses); 0 before any lookup. The sum is taken in
+  /// doubles so hits + misses cannot overflow the division.
+  double hit_rate() const;
 
   /// All entries across shards, sorted by key. Shard-agnostic: a snapshot
-  /// exported at one shard count imports at any other (or into the serial
-  /// PredictionCache) — records carry no shard structure.
+  /// exported at one shard count imports at any other — records carry no
+  /// shard structure.
   std::vector<std::pair<std::uint64_t, double>> export_entries() const;
 
   /// Warm-start from snapshot records; each key lands in its own shard.
@@ -191,7 +123,12 @@ class ShardedPredictionCache {
 
   Shard& shard_for(std::uint64_t key) const;
 
-  mutable detail::CacheStats stats_;
+  // Hit/miss counters: relaxed atomics (they only feed statistics, never
+  // control flow) that saturate instead of wrapping, so hit_rate() stays
+  // meaningful even on absurdly long-lived servers.
+  static void bump(std::atomic<std::uint64_t>& counter);
+  mutable std::atomic<std::uint64_t> hits_{0};
+  mutable std::atomic<std::uint64_t> misses_{0};
   std::vector<std::unique_ptr<Shard>> shards_;
   std::uint64_t shard_mask_ = 0;
 
@@ -205,7 +142,7 @@ class ShardedPredictionCache {
       GUARDED_BY(tier_mu_);
 };
 
-/// Hash helper (FNV-1a over ints), exposed for tests.
+/// Hash helper (FNV-1a over ints).
 std::uint64_t hash_sequence(std::uint64_t seed, const BitSequence& seq);
 
 }  // namespace rebert::core

@@ -1,8 +1,9 @@
 #include "rebert/scoring.h"
 
 #include <algorithm>
-#include <cmath>
-#include <memory>
+#include <map>
+#include <numeric>
+#include <unordered_map>
 #include <utility>
 
 #include "runtime/parallel_for.h"
@@ -11,92 +12,124 @@
 
 namespace rebert::core {
 
-ScoreMatrix::ScoreMatrix(int n) : n_(n) {
-  REBERT_CHECK_MSG(n >= 1, "score matrix needs at least one bit");
-  values_.assign(static_cast<std::size_t>(n) * static_cast<std::size_t>(n),
-                 kFiltered);
-}
-
-double ScoreMatrix::at(int i, int j) const {
-  REBERT_CHECK(i >= 0 && i < n_ && j >= 0 && j < n_);
-  return values_[static_cast<std::size_t>(i) * n_ + j];
-}
-
-void ScoreMatrix::set(int i, int j, double score) {
-  REBERT_CHECK(i >= 0 && i < n_ && j >= 0 && j < n_);
-  values_[static_cast<std::size_t>(i) * n_ + j] = score;
-  values_[static_cast<std::size_t>(j) * n_ + i] = score;
-}
-
-double ScoreMatrix::max_score() const {
-  return *std::max_element(values_.begin(), values_.end());
-}
-
-double ScoreMatrix::filtered_fraction() const {
-  if (n_ < 2) return 0.0;
-  long long filtered = 0, total = 0;
-  for (int i = 0; i < n_; ++i) {
-    for (int j = i + 1; j < n_; ++j) {
-      ++total;
-      if (at(i, j) == kFiltered) ++filtered;
-    }
-  }
-  return static_cast<double>(filtered) / static_cast<double>(total);
-}
-
 namespace {
 
-/// Row-major index p of the strict upper triangle of an n x n matrix ->
-/// its cell (i, j), i < j. Row i starts at index i * (2n - i - 1) / 2.
-std::pair<int, int> upper_triangle_cell(int n, std::int64_t p) {
-  const auto start = [n](std::int64_t i) { return i * (2 * n - i - 1) / 2; };
-  const double b = 2.0 * n - 1.0;
-  auto i = static_cast<std::int64_t>((b - std::sqrt(b * b - 8.0 * p)) / 2.0);
-  // The square root only estimates the row; settle it exactly.
-  while (i > 0 && start(i) > p) --i;
-  while (start(i + 1) <= p) ++i;
-  return {static_cast<int>(i), static_cast<int>(p - start(i) + i + 1)};
+/// First edge whose key is not below `key`; edges ascend by key.
+template <typename Edges>
+auto edge_at(Edges& edges, std::uint64_t key) {
+  return std::lower_bound(
+      edges.begin(), edges.end(), key,
+      [](const auto& edge, std::uint64_t k) { return edge.first < k; });
 }
 
 }  // namespace
 
-ScoreMatrix build_score_matrix(
-    const std::vector<BitSequence>& bits, const FilterOptions& filter,
-    const std::function<double(int, int)>& scorer) {
-  REBERT_CHECK(!bits.empty());
-  const SortedBags bags(bits);
-  ScoreMatrix matrix(static_cast<int>(bits.size()));
-  for (int i = 0; i < matrix.size(); ++i) {
-    for (int j = i + 1; j < matrix.size(); ++j) {
-      if (!bags_pass_filter(bags.bag(static_cast<std::size_t>(i)),
-                            bags.bag(static_cast<std::size_t>(j)), filter))
-        continue;  // stays kFiltered
-      matrix.set(i, j, scorer(i, j));
-    }
-  }
-  return matrix;
+ScoreMatrix::ScoreMatrix(int n) {
+  REBERT_CHECK_MSG(n >= 1, "score matrix needs at least one bit");
+  class_of_.resize(static_cast<std::size_t>(n));
+  std::iota(class_of_.begin(), class_of_.end(), 0);
+  members_ = class_of_;
+  offsets_.resize(class_of_.size() + 1);
+  std::iota(offsets_.begin(), offsets_.end(), 0);
 }
 
-ScoreMatrix build_score_matrix_with_model(
-    const std::vector<BitSequence>& bits, const Tokenizer& tokenizer,
-    const FilterOptions& filter, const bert::BertPairClassifier& model,
-    PredictionCache* cache) {
-  return build_score_matrix(
-      bits, filter, [&](int i, int j) {
-        const BitSequence& a = bits[static_cast<std::size_t>(i)];
-        const BitSequence& b = bits[static_cast<std::size_t>(j)];
-        std::uint64_t key = 0;
-        if (cache) {
-          key = PredictionCache::key_of(a, b);
-          double cached = 0.0;
-          if (cache->lookup(key, &cached)) return cached;
-        }
-        const bert::EncodedSequence pair = tokenizer.encode_pair(a, b);
-        const double score = model.predict_same_word_probability(pair);
-        if (cache) cache->insert(key, score);
-        return score;
-      });
+ScoreMatrix::ScoreMatrix(std::vector<int> class_ids)
+    : class_of_(std::move(class_ids)) {
+  // Counting sort by class; a stable pass keeps each class ascending.
+  const int classes =
+      *std::max_element(class_of_.begin(), class_of_.end()) + 1;
+  offsets_.assign(static_cast<std::size_t>(classes) + 1, 0);
+  for (const int c : class_of_) ++offsets_[static_cast<std::size_t>(c) + 1];
+  std::partial_sum(offsets_.begin(), offsets_.end(), offsets_.begin());
+  std::vector<std::size_t> cursor(offsets_.begin(), offsets_.end() - 1);
+  members_.resize(class_of_.size());
+  for (int i = 0; i < size(); ++i)
+    members_[cursor[static_cast<std::size_t>(
+        class_of_[static_cast<std::size_t>(i)])]++] = i;
 }
+
+std::span<const int> ScoreMatrix::members(int cls) const {
+  REBERT_CHECK(cls >= 0 && cls < num_classes());
+  const auto c = static_cast<std::size_t>(cls);
+  return std::span<const int>(members_).subspan(offsets_[c],
+                                                offsets_[c + 1] - offsets_[c]);
+}
+
+double ScoreMatrix::at(int i, int j) const {
+  REBERT_CHECK(i >= 0 && i < size() && j >= 0 && j < size());
+  if (i == j) return kFiltered;
+  const int ci = class_of_[static_cast<std::size_t>(i)];
+  const int cj = class_of_[static_cast<std::size_t>(j)];
+  const std::uint64_t key = i < j ? edge_key(ci, cj) : edge_key(cj, ci);
+  const auto it = edge_at(scores_, key);
+  return it != scores_.end() && it->first == key ? it->second : kFiltered;
+}
+
+void ScoreMatrix::set(int i, int j, double score) {
+  REBERT_CHECK(i >= 0 && i < size() && j >= 0 && j < size() && i != j);
+  REBERT_CHECK_MSG(num_classes() == size(),
+                   "set() writes single-bit classes only");
+  const std::uint64_t key = edge_key(std::min(i, j), std::max(i, j));
+  // Pairs written in row-major order append in O(1).
+  const auto it = !scores_.empty() && scores_.back().first < key
+                      ? scores_.end()
+                      : edge_at(scores_, key);
+  const bool present = it != scores_.end() && it->first == key;
+  if (score == kFiltered) {
+    if (present) {
+      scores_.erase(it);
+      --scored_pairs_;
+    }
+  } else if (present) {
+    it->second = score;
+  } else {
+    scores_.insert(it, {key, score});
+    ++scored_pairs_;
+  }
+}
+
+double ScoreMatrix::max_score() const {
+  double best = kFiltered;
+  for (const auto& [key, score] : scores_)
+    if (score > best) best = score;
+  return best;
+}
+
+double ScoreMatrix::filtered_fraction() const {
+  const auto n = static_cast<std::int64_t>(size());
+  if (n < 2) return 0.0;
+  const std::int64_t total = n * (n - 1) / 2;
+  return static_cast<double>(total - scored_pairs_) /
+         static_cast<double>(total);
+}
+
+namespace {
+
+/// Each bit's sequence class, numbered in first-seen order. A hash only
+/// proposes a class; equal token ids and tree codes decide.
+std::vector<int> intern_classes(const std::vector<BitSequence>& bits) {
+  std::vector<int> class_of(bits.size());
+  std::vector<std::size_t> first;  // per class: its first bit
+  std::unordered_map<std::uint64_t, std::vector<int>> by_hash;
+  for (std::size_t i = 0; i < bits.size(); ++i) {
+    std::vector<int>& bucket = by_hash[PredictionCache::key_prefix(bits[i])];
+    const auto same = std::find_if(bucket.begin(), bucket.end(), [&](int c) {
+      const BitSequence& seen = bits[first[static_cast<std::size_t>(c)]];
+      return seen.token_ids == bits[i].token_ids &&
+             seen.tree_codes == bits[i].tree_codes;
+    });
+    if (same != bucket.end()) {
+      class_of[i] = *same;
+      continue;
+    }
+    class_of[i] = static_cast<int>(first.size());
+    bucket.push_back(class_of[i]);
+    first.push_back(i);
+  }
+  return class_of;
+}
+
+}  // namespace
 
 ScoreMatrix score_all_pairs(const std::vector<BitSequence>& bits,
                             const Tokenizer& tokenizer,
@@ -105,66 +138,89 @@ ScoreMatrix score_all_pairs(const std::vector<BitSequence>& bits,
                             ShardedPredictionCache* cache,
                             const ScoringOptions& options) {
   REBERT_CHECK(!bits.empty());
-  const int n = static_cast<int>(bits.size());
-  const SortedBags bags(bits);
-  ScoreMatrix matrix(n);
+  ScoreMatrix matrix(intern_classes(bits));
+  // A class is scored through its first bit. Ordered pair (c, d) occurs
+  // when some i∈c, j∈d has i < j; for c == d that means two members.
+  const auto sequence = [&](int c) -> const BitSequence& {
+    return bits[static_cast<std::size_t>(matrix.members(c).front())];
+  };
+  const auto occurs = [&](int c, int d) {
+    return matrix.members(c).front() < matrix.members(d).back();
+  };
+  std::vector<std::uint64_t> prefix;  // per class: the first half of its keys
+  struct Bag {
+    std::vector<int> classes;
+    std::int64_t bits = 0;
+  };
+  std::map<std::vector<int>, Bag> bags;  // token_counts -> classes
+  for (int c = 0; c < matrix.num_classes(); ++c) {
+    prefix.push_back(PredictionCache::key_prefix(sequence(c)));
+    Bag& bag = bags[token_counts(sequence(c).token_ids)];
+    bag.classes.push_back(c);
+    bag.bits += static_cast<std::int64_t>(matrix.members(c).size());
+  }
 
-  // (i, j) identifies the only body invocation that may touch matrix cells
-  // (i, j)/(j, i).
-  const auto score_one = [&](int i, int j) {
-    if (!bags_pass_filter(bags.bag(static_cast<std::size_t>(i)),
-                          bags.bag(static_cast<std::size_t>(j)), filter))
-      return;  // cell stays kFiltered
-    const BitSequence& a = bits[static_cast<std::size_t>(i)];
-    const BitSequence& b = bits[static_cast<std::size_t>(j)];
-    std::uint64_t key = 0;
-    if (cache) {
-      key = PredictionCache::key_of(a, b);
-      double cached = 0.0;
-      if (cache->lookup(key, &cached)) {
-        matrix.set(i, j, cached);
-        return;
-      }
+  // Filter once per unordered bag-class pair; collect the occurring
+  // ordered class pairs of the passing ones, in a thread-independent order.
+  std::vector<std::pair<int, int>> candidates;
+  std::int64_t scored_pairs = 0;
+  for (auto a = bags.begin(); a != bags.end(); ++a) {
+    if (options.cancel && options.cancel->requested())
+      throw runtime::CancelledError();
+    for (auto b = a; b != bags.end(); ++b) {
+      if (!counts_pass_filter(a->first, b->first, filter)) continue;
+      const std::int64_t na = a->second.bits, nb = b->second.bits;
+      scored_pairs += a == b ? na * (na - 1) / 2 : na * nb;
+      for (const int c : a->second.classes)
+        for (const int d : b->second.classes) {
+          if (a == b && d < c) continue;  // each class pair once
+          if (occurs(c, d)) candidates.emplace_back(c, d);
+          if (c != d && occurs(d, c)) candidates.emplace_back(d, c);
+        }
     }
-    const bert::EncodedSequence encoded = tokenizer.encode_pair(a, b);
-    const double score = model.predict_same_word_probability(encoded);
-    if (cache) cache->insert(key, score);
-    matrix.set(i, j, score);
-  };
-  // The strict upper triangle, row-major, cut into chunks of `grain`
-  // pairs: parallel_for hands out chunks, and each walks its pairs from a
-  // decoded first cell. No n^2 work list is materialized.
-  const std::int64_t total = static_cast<std::int64_t>(n) * (n - 1) / 2;
-  const std::int64_t grain = std::max(1, options.grain);
-  const auto score_chunk = [&](std::int64_t chunk) {
-    const std::int64_t first = chunk * grain;
-    auto [i, j] = upper_triangle_cell(n, first);
-    for (std::int64_t p = first; p < std::min(total, first + grain); ++p) {
-      score_one(i, j);
-      if (++j == n) {
-        ++i;
-        j = i + 1;
-      }
-    }
-  };
-  const std::int64_t chunks = (total + grain - 1) / grain;
+  }
 
   runtime::ParallelForOptions schedule;
-  schedule.grain = 1;  // one chunk of `grain` pairs per index
+  schedule.grain = std::max(1, options.grain);
   schedule.cancel = options.cancel;
+
+  // One lookup — and on a miss one forward — per candidate, from the
+  // classes' first bits; candidate k writes only scores[k].
+  std::vector<double> scores(candidates.size());
+  const auto score_one = [&](std::int64_t k) {
+    const auto [c, d] = candidates[static_cast<std::size_t>(k)];
+    double& score = scores[static_cast<std::size_t>(k)];
+    std::uint64_t key = 0;
+    if (cache) {
+      key = hash_sequence(prefix[static_cast<std::size_t>(c)], sequence(d));
+      if (cache->lookup(key, &score)) return;
+    }
+    score = model.predict_same_word_probability(
+        tokenizer.encode_pair(sequence(c), sequence(d)));
+    if (cache) cache->insert(key, score);
+  };
+  const auto total = static_cast<std::int64_t>(candidates.size());
   const int threads = options.num_threads == 1
                           ? 1
                           : runtime::resolve_thread_count(options.num_threads);
   if (threads <= 1 && options.pool == nullptr) {
-    runtime::serial_for(0, chunks, score_chunk, schedule);
+    runtime::serial_for(0, total, score_one, schedule);
   } else if (options.pool != nullptr) {
-    runtime::parallel_for(*options.pool, 0, chunks, score_chunk, schedule);
+    runtime::parallel_for(*options.pool, 0, total, score_one, schedule);
   } else {
     // The calling thread participates in parallel_for, so a transient pool
     // needs one fewer worker to land on `threads` scoring threads total.
     runtime::ThreadPool pool(std::max(1, threads - 1));
-    runtime::parallel_for(pool, 0, chunks, score_chunk, schedule);
+    runtime::parallel_for(pool, 0, total, score_one, schedule);
   }
+
+  matrix.scores_.reserve(candidates.size());
+  for (std::size_t k = 0; k < candidates.size(); ++k)
+    matrix.scores_.emplace_back(
+        ScoreMatrix::edge_key(candidates[k].first, candidates[k].second),
+        scores[k]);
+  std::sort(matrix.scores_.begin(), matrix.scores_.end());
+  matrix.scored_pairs_ = scored_pairs;
   return matrix;
 }
 

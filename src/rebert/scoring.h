@@ -1,11 +1,16 @@
-// Pairwise score matrix (§II-C/D, Fig. 1(d) input).
+// Pairwise scores over sequence classes (§II-C/D, Fig. 1(d) input).
 //
 // score(i,j) = P(same word | bits i, j) from the model, or kFiltered (-1)
-// when the Jaccard pre-filter rejects the pair. The matrix is symmetric
-// with a kFiltered diagonal (self-pairs are never scored).
+// when the Jaccard pre-filter rejects the pair. Both depend only on the
+// bits' token ids and tree codes, so bits with equal ones form a sequence
+// class and bits i < j score as the ordered class pair (class i, class j).
+// Memory is O(n + classes + scored class pairs), never n x n; DESIGN.md
+// ("Scoring over sequence classes") gives the argument.
 #pragma once
 
-#include <functional>
+#include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "bert/model.h"
@@ -17,47 +22,12 @@
 
 namespace rebert::core {
 
-class ScoreMatrix {
- public:
-  static constexpr double kFiltered = -1.0;
-
-  explicit ScoreMatrix(int n);
-
-  int size() const { return n_; }
-  double at(int i, int j) const;
-  void set(int i, int j, double score);  // symmetric write
-
-  /// Maximum entry (filtered cells included as -1); -1 when fully filtered.
-  double max_score() const;
-
-  /// Fraction of strict-upper-triangle pairs that were filtered.
-  double filtered_fraction() const;
-
- private:
-  int n_;
-  std::vector<double> values_;
-};
-
-/// Scores every pair with `scorer` unless the filter rejects it first.
-/// `scorer(i, j)` is only invoked for surviving pairs.
-ScoreMatrix build_score_matrix(
-    const std::vector<BitSequence>& bits, const FilterOptions& filter,
-    const std::function<double(int, int)>& scorer);
-
-/// Convenience: model-backed scoring through Tokenizer::encode_pair.
-/// When `cache` is non-null, identical (generalized) sequence pairs reuse
-/// previous predictions — lossless, since inference is deterministic.
-ScoreMatrix build_score_matrix_with_model(
-    const std::vector<BitSequence>& bits, const Tokenizer& tokenizer,
-    const FilterOptions& filter, const bert::BertPairClassifier& model,
-    PredictionCache* cache = nullptr);
-
 /// Scheduling knobs for score_all_pairs.
 struct ScoringOptions {
   /// Worker threads; 1 = serial, 0 = resolve from REBERT_THREADS /
   /// hardware (runtime::resolve_thread_count).
   int num_threads = 1;
-  /// Candidate pairs per scheduling chunk (see runtime/parallel_for.h).
+  /// Candidate class pairs per scheduling chunk (see runtime/parallel_for.h).
   int grain = 32;
   /// Reuse an existing pool (e.g. the serve engine's) instead of spinning
   /// up a transient one. When null and more than one thread is resolved, a
@@ -70,16 +40,78 @@ struct ScoringOptions {
   runtime::CancellationToken* cancel = nullptr;
 };
 
-/// Score every candidate pair of `bits` — the O(bits²) hot path of the
-/// whole pipeline — fanning surviving pairs out across worker threads.
+class ScoreMatrix {
+ public:
+  static constexpr double kFiltered = -1.0;
+
+  /// n bits, each its own class, every pair filtered until set().
+  explicit ScoreMatrix(int n);
+
+  int size() const { return static_cast<int>(class_of_.size()); }
+  /// Score of bits i and j, looked up through their classes: symmetric,
+  /// kFiltered on the diagonal and for pairs without a score.
+  double at(int i, int j) const;
+  /// Symmetric write of one bit pair's score; kFiltered clears it. Only for
+  /// a matrix whose classes are single bits (as ScoreMatrix(n) builds).
+  /// O(1) when pairs arrive in row-major order, O(edges) otherwise.
+  void set(int i, int j, double score);
+
+  /// Maximum score; kFiltered when no pair has one.
+  double max_score() const;
+
+  /// Fraction of bit pairs i < j that were filtered.
+  double filtered_fraction() const;
+
+  int num_classes() const { return static_cast<int>(offsets_.size()) - 1; }
+  /// Bits of class `cls`, ascending.
+  std::span<const int> members(int cls) const;
+  /// Number of scored ordered class pairs.
+  std::size_t num_edges() const { return scores_.size(); }
+
+  /// f(c, d, score) for every scored ordered class pair: each bit pair
+  /// i∈c, j∈d with i < j has that score.
+  template <typename F>
+  void for_each_edge(F&& f) const {
+    for (const auto& [key, score] : scores_)
+      f(static_cast<int>(key >> 32), static_cast<int>(key & 0xffffffffu),
+        score);
+  }
+
+ private:
+  /// class_ids[i] is bit i's class; classes are numbered 0..k-1.
+  explicit ScoreMatrix(std::vector<int> class_ids);
+
+  static std::uint64_t edge_key(int c, int d) {
+    return (static_cast<std::uint64_t>(c) << 32) |
+           static_cast<std::uint32_t>(d);
+  }
+
+  friend ScoreMatrix score_all_pairs(const std::vector<BitSequence>&,
+                                     const Tokenizer&, const FilterOptions&,
+                                     const bert::BertPairClassifier&,
+                                     ShardedPredictionCache*,
+                                     const ScoringOptions&);
+
+  std::vector<int> class_of_;
+  // Bits grouped by class, ascending in each: class c is
+  // members_[offsets_[c], offsets_[c + 1]).
+  std::vector<int> members_;
+  std::vector<std::size_t> offsets_;
+  // (edge_key, score), ascending by key.
+  std::vector<std::pair<std::uint64_t, double>> scores_;
+  std::int64_t scored_pairs_ = 0;  // bit pairs i < j with a score
+};
+
+/// Score every candidate pair of `bits`: one lookup, and on a miss one
+/// forward, per ordered sequence-class pair that occurs (min c < max d;
+/// two members when c == d) inside a bag-class pair the filter passes.
+/// The class pairs fan out across worker threads.
 ///
-/// Determinism: the output is bit-identical at any thread count. Each of
-/// the n(n-1)/2 pair slots is computed by exactly one chunk (`grain`
-/// consecutive pairs of the row-major upper triangle) that writes only its
-/// own matrix cells, the model is read-only during
-/// inference, and cache hits are lossless (same key -> same score), so
-/// scheduling order cannot change a single bit of the result. Enforced by
-/// tests/runtime/scoring_parallel_test.cc at 1, 2, and 8 threads.
+/// Determinism: bit-identical at any thread count. Each candidate is
+/// computed by exactly one body invocation that writes only its own slot,
+/// the model is read-only, and cache hits are lossless, so scheduling
+/// cannot change a bit. Enforced by tests/runtime/scoring_parallel_test.cc
+/// against a bit-pair reference at 1, 2 and 8 threads.
 ScoreMatrix score_all_pairs(const std::vector<BitSequence>& bits,
                             const Tokenizer& tokenizer,
                             const FilterOptions& filter,

@@ -1,6 +1,6 @@
 // `rebert_cli recover` end to end on a small generated bench: the summary
 // line and the --json object both carry the tokenize / score / group phase
-// split, and the phases fit inside the total.
+// split and the sequence-class counts, and the phases fit inside the total.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -56,6 +56,10 @@ TEST(CliRecoverTest, ReportsPhaseSplitInSummaryAndJson) {
   ASSERT_GE(group, 0.0) << summary;
   // Each figure is rounded to 1 ms on print.
   EXPECT_LE(tokenize + score + group, total + 0.002) << summary;
+  const double classes = field(summary, "sequence_classes=");
+  const double class_pairs = field(summary, "scored_class_pairs=");
+  EXPECT_GE(classes, 1.0) << summary;
+  EXPECT_GE(class_pairs, 0.0) << summary;
 
   const std::size_t json_at = out.find("{\"tokenize_seconds\":");
   ASSERT_NE(json_at, std::string::npos) << out;
@@ -70,6 +74,8 @@ TEST(CliRecoverTest, ReportsPhaseSplitInSummaryAndJson) {
   ASSERT_GT(j_total, 0.0) << json;
   // Printed to 1 us.
   EXPECT_LE(j_tokenize + j_score + j_group, j_total + 2e-6) << json;
+  EXPECT_EQ(field(json, "\"sequence_classes\":"), classes) << json;
+  EXPECT_EQ(field(json, "\"scored_class_pairs\":"), class_pairs) << json;
   // Still the word report's object, now led by the phase fields.
   EXPECT_NE(json.find("\"num_singletons\":"), std::string::npos) << json;
   EXPECT_NE(json.find("\"words\":["), std::string::npos) << json;

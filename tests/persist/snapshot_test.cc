@@ -160,12 +160,12 @@ TEST(SnapshotTest, HugeCorruptCountRejectedWithoutAllocating) {
 
 TEST(CacheIoTest, PredictionCacheRoundTrip) {
   const std::string path = temp_path("cache_serial.rbpc");
-  core::PredictionCache cache;
+  core::ShardedPredictionCache cache(1);
   cache.insert(11, 0.5);
   cache.insert(22, 0.25);
   save_cache(cache, path);
 
-  core::PredictionCache warmed;
+  core::ShardedPredictionCache warmed(1);
   EXPECT_EQ(load_cache(&warmed, path), 2u);
   double score = 0.0;
   EXPECT_TRUE(warmed.lookup(11, &score));
@@ -184,7 +184,7 @@ TEST(CacheIoTest, ShardAgnosticAcrossShardCountsAndFlavours) {
 
   core::ShardedPredictionCache narrow(4);
   EXPECT_EQ(load_cache(&narrow, path), 100u);
-  core::PredictionCache serial;
+  core::ShardedPredictionCache serial(1);
   EXPECT_EQ(load_cache(&serial, path), 100u);
   for (std::uint64_t k = 0; k < 100; ++k) {
     double a = -1.0, b = -1.0;

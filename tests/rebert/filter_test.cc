@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <unordered_map>
 
+#include "util/check.h"
 #include "util/rng.h"
 
 namespace rebert::core {
@@ -61,9 +62,10 @@ TEST(JaccardTest, SymmetricAndBounded) {
   EXPECT_LT(ab, 1.0);
 }
 
-TEST(JaccardTest, SortedMergeMatchesHashMapReference) {
+TEST(JaccardTest, CountVectorsMatchHashMapReference) {
   // Seeded random bags over a small alphabet, so repeated tokens are
-  // common; lengths start at 0 to cover empty bags on either side.
+  // common; lengths start at 0 to cover empty bags on either side, and
+  // the two count vectors usually differ in width.
   util::Rng rng(2024);
   for (int trial = 0; trial < 4000; ++trial) {
     const int alphabet = rng.uniform_int(1, 8);
@@ -73,18 +75,27 @@ TEST(JaccardTest, SortedMergeMatchesHashMapReference) {
     for (int& t : b) t = rng.uniform_int(0, alphabet - 1);
     const double want = hash_map_jaccard(a, b);
     ASSERT_EQ(jaccard_similarity(a, b), want) << "trial " << trial;
-    std::vector<BitSequence> bits(2);
-    bits[0].token_ids = a;
-    bits[1].token_ids = b;
-    const SortedBags bags(bits);
-    ASSERT_EQ(sorted_bag_jaccard(bags.bag(0), bags.bag(1)), want)
-        << "trial " << trial;
-    const FilterOptions filter;
-    ASSERT_EQ(passes_filter(bits[0], bits[1], filter),
-              want >= filter.threshold);
-    ASSERT_EQ(bags_pass_filter(bags.bag(0), bags.bag(1), filter),
-              want >= filter.threshold);
+    BitSequence bit_a, bit_b;
+    bit_a.token_ids = a;
+    bit_b.token_ids = b;
+    for (const double threshold : {0.0, 0.5, 0.7, want, 1.0}) {
+      FilterOptions filter;
+      filter.threshold = threshold;
+      ASSERT_EQ(passes_filter(bit_a, bit_b, filter), want >= threshold)
+          << "trial " << trial;
+      ASSERT_EQ(counts_pass_filter(token_counts(a), token_counts(b), filter),
+                want >= threshold)
+          << "trial " << trial;
+    }
   }
+}
+
+TEST(JaccardTest, TokenCountsEndAtTheLargestId) {
+  EXPECT_EQ(token_counts({}), std::vector<int>{});
+  EXPECT_EQ(token_counts({2, 0, 2}), (std::vector<int>{1, 0, 2}));
+  // Equal bags give equal vectors, whatever the order.
+  EXPECT_EQ(token_counts({3, 1, 1}), token_counts({1, 3, 1}));
+  EXPECT_THROW(token_counts({-1}), util::CheckError);
 }
 
 TEST(FilterTest, ThresholdGatesPairs) {

@@ -18,7 +18,7 @@ BitSequence make_sequence(std::vector<int> tokens) {
 }
 
 TEST(PredictionCacheTest, HitAfterInsert) {
-  PredictionCache cache;
+  ShardedPredictionCache cache;
   const BitSequence a = make_sequence({1, 2, 3});
   const BitSequence b = make_sequence({4, 5});
   const std::uint64_t key = PredictionCache::key_of(a, b);
@@ -51,7 +51,7 @@ TEST(PredictionCacheTest, KeyDependsOnTokensAndCodes) {
 }
 
 TEST(PredictionCacheTest, ClearResetsEverything) {
-  PredictionCache cache;
+  ShardedPredictionCache cache;
   cache.insert(7, 0.5);
   double score;
   cache.lookup(7, &score);
@@ -76,18 +76,23 @@ TEST(PredictionCacheTest, CachedScoringIsBitIdentical) {
   config.intermediate = 64;
   bert::BertPairClassifier model(config);
 
-  const ScoreMatrix uncached = build_score_matrix_with_model(
-      bits, tokenizer, FilterOptions{}, model, nullptr);
-  PredictionCache cache;
-  const ScoreMatrix cached = build_score_matrix_with_model(
-      bits, tokenizer, FilterOptions{}, model, &cache);
+  const ScoreMatrix uncached =
+      score_all_pairs(bits, tokenizer, FilterOptions{}, model, nullptr);
+  ShardedPredictionCache cache;
+  const ScoreMatrix cold =
+      score_all_pairs(bits, tokenizer, FilterOptions{}, model, &cache);
+  const ScoreMatrix warm =
+      score_all_pairs(bits, tokenizer, FilterOptions{}, model, &cache);
 
-  ASSERT_EQ(uncached.size(), cached.size());
+  ASSERT_EQ(uncached.size(), cold.size());
   for (int i = 0; i < uncached.size(); ++i)
-    for (int j = 0; j < uncached.size(); ++j)
-      EXPECT_DOUBLE_EQ(uncached.at(i, j), cached.at(i, j));
-  // Template-rich circuit: the cache must actually hit.
+    for (int j = 0; j < uncached.size(); ++j) {
+      EXPECT_DOUBLE_EQ(uncached.at(i, j), cold.at(i, j));
+      EXPECT_DOUBLE_EQ(uncached.at(i, j), warm.at(i, j));
+    }
+  // A second pass over the same circuit is answered from the cache.
   EXPECT_GT(cache.hits(), 0u);
+  EXPECT_EQ(cache.hits(), cache.misses());
 }
 
 TEST(PredictionCacheTest, PipelineReportsHitRate) {
