@@ -39,8 +39,6 @@
 //   rebert_cli call        --socket /tmp/router.sock [--retry] <request...>
 //   rebert_cli score       [--bench b07] [--pairs 200 | --bits a,b]
 //                          [--seed 1] [--cache-file cache.rbpc] [...]
-//   rebert_cli bench-serve [--bench b07] [--requests 200] [--clients 2]
-//                          [--threads N] [--batch 16] [--scale 0.25]
 //
 // File formats are detected by extension: .v / .verilog parse as structural
 // Verilog, everything else as ISCAS-89 .bench.
@@ -50,8 +48,8 @@
 // diagnostic fired (add --fail-on-warn to also fail on warnings).
 //
 // `serve` speaks the newline protocol of src/serve/protocol.h over stdio
-// (default) or a Unix socket; `bench-serve` drives the same engine with an
-// in-process load generator and reports p50/p95 latency and QPS.
+// (default) or a Unix socket. Serve load is measured by perfbench
+// (`python3 perfbench/run.py --workload serve_score`).
 //
 // Overload safety (see DESIGN.md): --max-inflight bounds concurrently
 // admitted score/recover requests (excess answered `err overloaded
@@ -286,7 +284,8 @@ int cmd_recover(const util::FlagParser& flags) {
     // warm or cold, only wall-clock changes).
     core::ShardedPredictionCache cache;
     if (!cache_file.empty()) {
-      const std::size_t warmed = persist::load_cache(&cache, cache_file);
+      const std::size_t warmed =
+          persist::warm_start_cache(&cache, cache_file);
       std::printf("cache: warm-started %zu entries from %s\n", warmed,
                   cache_file.c_str());
       options.pipeline.external_cache = &cache;
@@ -784,73 +783,6 @@ int cmd_score(const util::FlagParser& flags) {
   return 0;
 }
 
-int cmd_bench_serve(const util::FlagParser& flags) {
-  serve::InferenceEngine engine(engine_options(flags));
-  serve::ServeLoop loop(engine);
-
-  const std::string bench = flags.get("bench", "b07");
-  const int total = std::max(1, flags.get_int("requests", 200));
-  const int clients = std::max(1, flags.get_int("clients", 2));
-  const int num_bits = engine.warm(bench);
-  const std::vector<std::string> bits = engine.bit_names(bench);
-  std::printf("bench-serve: %s (%d bits), %d requests, %d client(s), "
-              "%d engine thread(s), batch %d\n",
-              bench.c_str(), num_bits, total, clients, engine.threads(),
-              engine.options().batch_size);
-
-  std::atomic<int> next{0};
-  std::atomic<int> errors{0};
-  std::vector<std::vector<double>> latencies(
-      static_cast<std::size_t>(clients));
-  util::WallTimer wall;
-  std::vector<std::thread> workers;
-  for (int c = 0; c < clients; ++c) {
-    workers.emplace_back([&, c] {
-      util::Rng rng(0x5e27eULL + static_cast<std::uint64_t>(c));
-      std::vector<double>& mine = latencies[static_cast<std::size_t>(c)];
-      while (next.fetch_add(1) < total) {
-        const std::string& a =
-            bits[static_cast<std::size_t>(rng.uniform_int(0, num_bits - 1))];
-        const std::string& b =
-            bits[static_cast<std::size_t>(rng.uniform_int(0, num_bits - 1))];
-        const std::string line = "score " + bench + " " + a + " " + b;
-        util::WallTimer timer;
-        bool quit = false;
-        const std::string response = loop.handle_line(line, &quit);
-        mine.push_back(timer.seconds());
-        if (!util::starts_with(response, "ok"))
-          errors.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-  for (std::thread& worker : workers) worker.join();
-  const double elapsed = wall.seconds();
-
-  std::vector<double> all;
-  for (const std::vector<double>& client : latencies)
-    all.insert(all.end(), client.begin(), client.end());
-  std::sort(all.begin(), all.end());
-  const auto percentile = [&all](double p) {
-    const std::size_t index = std::min(
-        all.size() - 1, static_cast<std::size_t>(p * all.size()));
-    return all[index];
-  };
-  double sum = 0.0;
-  for (double latency : all) sum += latency;
-
-  if (errors.load() > 0)
-    std::fprintf(stderr, "bench-serve: %d request(s) failed\n",
-                 errors.load());
-  std::printf("requests   : %zu\n", all.size());
-  std::printf("wall       : %.3fs\n", elapsed);
-  std::printf("qps        : %.1f\n",
-              static_cast<double>(all.size()) / elapsed);
-  std::printf("latency avg: %.3fms\n", 1000.0 * sum / all.size());
-  std::printf("latency p50: %.3fms\n", 1000.0 * percentile(0.50));
-  std::printf("latency p95: %.3fms\n", 1000.0 * percentile(0.95));
-  return errors.load() > 0 ? 1 : 0;
-}
-
 // The one subcommand table: the usage screen and the dispatcher in main()
 // are both generated from it, so adding a command here is the whole
 // registration.
@@ -907,10 +839,6 @@ constexpr Subcommand kSubcommands[] = {
      "[--bench b07] [--pairs 200 | --bits a,b] [--seed 1] "
      "[--cache-file cache.rbpc] [--model model.bin] [--threads N]",
      cmd_score},
-    {"bench-serve",
-     "[--bench b07] [--requests 200] [--clients 2] [--threads N] "
-     "[--batch 16] [--scale 0.25]",
-     cmd_bench_serve},
 };
 
 int usage() {
@@ -935,7 +863,7 @@ int main(int argc, char** argv) {
   const util::FlagParser flags(argc, argv);
   if (flags.positional().empty()) return usage();
   // --kernels is global: every compute-bearing subcommand (train, recover,
-  // score, serve, bench-serve, and backends spawned by route) honors it.
+  // score, serve, and backends spawned by route) honors it.
   // Unset keeps the REBERT_KERNELS / cpuid auto-selection.
   const std::string kernels_spec = flags.get("kernels", "");
   if (!kernels_spec.empty()) {

@@ -15,7 +15,6 @@
 #include "util/csv.h"
 #include "util/string_utils.h"
 #include "util/table.h"
-#include "util/timer.h"
 
 int main() {
   using namespace rebert;
@@ -40,11 +39,10 @@ int main() {
   util::TextTable table({"method", "benchmark", "avg runtime (s)",
                          "tokenize (s)", "score (s)", "group (s)"});
   util::CsvWriter csv("table3_runtime.csv",
-                      {"benchmark", "structural_seconds", "rebert_seconds",
-                       "rebert_cached_seconds"});
+                      {"benchmark", "structural_seconds", "rebert_seconds"});
 
   for (const auto& circuit : circuits) {
-    double structural_total = 0.0, rebert_total = 0.0, cached_total = 0.0;
+    double structural_total = 0.0, rebert_total = 0.0;
     double tokenize_total = 0.0, score_total = 0.0, group_total = 0.0;
     for (double r : sweep) {
       nl::CorruptionOptions corrupt_options;
@@ -63,21 +61,14 @@ int main() {
           structural::recover_words_structural(variant, matching)
               .total_seconds;
 
-      // Paper-faithful configuration: every surviving pair hits the model.
-      core::PipelineOptions uncached = setup.options.pipeline;
-      uncached.use_prediction_cache = false;
+      // Paper-faithful configuration: no cache, every surviving class
+      // pair hits the model.
       const core::RecoveryResult recovery =
-          core::recover_words(variant, *model, uncached);
+          core::recover_words(variant, *model, setup.options.pipeline);
       rebert_total += recovery.total_seconds;
       tokenize_total += recovery.tokenize_seconds;
       score_total += recovery.scoring_seconds;
       group_total += recovery.grouping_seconds;
-
-      // This repo's accelerated configuration (lossless memoization).
-      core::PipelineOptions cached = setup.options.pipeline;
-      cached.use_prediction_cache = true;
-      cached_total +=
-          core::recover_words(variant, *model, cached).total_seconds;
     }
     const double n = static_cast<double>(sweep.size());
     table.add_row({"Structural", circuit.name,
@@ -88,12 +79,9 @@ int main() {
                    util::format_double(tokenize_total / n, 3),
                    util::format_double(score_total / n, 3),
                    util::format_double(group_total / n, 3)});
-    table.add_row({"ReBERT+cache", circuit.name,
-                   util::format_double(cached_total / n, 3), "-", "-", "-"});
     csv.add_row({circuit.name,
                  util::format_double(structural_total / n, 4),
-                 util::format_double(rebert_total / n, 4),
-                 util::format_double(cached_total / n, 4)});
+                 util::format_double(rebert_total / n, 4)});
     std::fprintf(stderr, "%s done\n", circuit.name.c_str());
   }
   table.print();

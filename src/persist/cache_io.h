@@ -1,10 +1,9 @@
 // Warm-start glue between the RBPC snapshot format and the prediction
-// caches. Header-only templates so persist stays a leaf library: any cache
-// exposing export_entries() / import_entries() (as
-// core::ShardedPredictionCache does) persists through the same two
-// calls, and only the including translation unit pays the dependencies
-// (including rebert_runtime for the cache.load / cache.parse chaos sites —
-// every current includer links it already).
+// cache: save_cache() writes a snapshot, warm_start_cache() is the one
+// way to load it. Header-only so persist stays a leaf library: only the
+// including translation unit pays the dependencies (core, and
+// rebert_runtime for the cache.load / cache.parse chaos sites — every
+// current includer links both already).
 #pragma once
 
 #include <cstddef>
@@ -24,48 +23,10 @@ namespace rebert::persist {
 /// Atomically snapshot `cache` to `path`. Throws util::CheckError (with
 /// errno detail) on I/O failure. Writes the mmap-able RBPC v2 layout
 /// (mmap_snapshot.h) so every snapshot this build produces supports the
-/// zero-copy warm start; load paths read v1 and v2 alike.
-template <typename Cache>
-void save_cache(const Cache& cache, const std::string& path) {
+/// zero-copy warm start; warm_start_cache reads v1 and v2 alike.
+inline void save_cache(const core::ShardedPredictionCache& cache,
+                       const std::string& path) {
   save_snapshot_v2(cache.export_entries(), path);
-}
-
-/// Warm-start `cache` from a snapshot. Returns the number of entries
-/// imported; a missing file imports 0 silently-ish (info log, normal first
-/// run) and a corrupt/truncated/version-skewed file imports 0 with a
-/// warning — the caller always continues, at worst cold. Never throws on
-/// file content.
-template <typename Cache>
-std::size_t load_cache(Cache* cache, const std::string& path) {
-  // Chaos sites: cache.load simulates the snapshot file being unreadable
-  // (I/O error, permission flip), cache.parse a record-level corruption
-  // the CRC missed. Both degrade to a cold start — exactly the missing /
-  // corrupt-file contract below — and never fail the caller.
-  runtime::FaultInjector& faults = runtime::FaultInjector::global();
-  if (faults.should_fail("cache.load")) {
-    LOG_WARN << "cache snapshot: injected load fault for " << path
-             << "; starting cold";
-    return 0;
-  }
-  const SnapshotLoadResult result = load_snapshot(path);
-  if (result.status == SnapshotLoadStatus::kLoaded &&
-      faults.should_fail("cache.parse")) {
-    LOG_WARN << "cache snapshot rejected: injected parse fault for " << path
-             << "; starting cold";
-    return 0;
-  }
-  switch (result.status) {
-    case SnapshotLoadStatus::kLoaded:
-      return cache->import_entries(result.records);
-    case SnapshotLoadStatus::kMissing:
-      LOG_INFO << "cache snapshot: " << result.message << "; starting cold";
-      return 0;
-    case SnapshotLoadStatus::kCorrupt:
-      LOG_WARN << "cache snapshot rejected: " << result.message
-               << "; starting cold";
-      return 0;
-  }
-  return 0;
 }
 
 /// core::ScoreTier over a mapped RBPC v2 snapshot — the adapter that
@@ -95,11 +56,14 @@ class MmapSnapshotTier final : public core::ScoreTier {
 /// Zero-copy warm start for the sharded cache: a v2 snapshot is mapped,
 /// validated (header + checksum), and attached as a read-only warm tier —
 /// O(1) in the record count beyond the validation scan, no
-/// materialization. Anything else (a v1 snapshot, a missing or corrupt
-/// file) falls back to the stream parse + import with the same
-/// cold-start-on-defect contract as load_cache. Returns the entries made
-/// available either way. The cache.load / cache.parse chaos sites fire
-/// exactly once per call, whichever path runs.
+/// materialization. A v1 snapshot falls back to the stream parse +
+/// import. Returns the entries made available; a missing file imports 0
+/// (info log, normal first run) and a corrupt/truncated/version-skewed
+/// file imports 0 with a warning — the caller always continues, at worst
+/// cold. Never throws on file content. The cache.load / cache.parse chaos
+/// sites (an unreadable file, a record-level corruption the checksum
+/// missed) fire exactly once per call, whichever path runs, and degrade
+/// to the same cold start.
 inline std::size_t warm_start_cache(core::ShardedPredictionCache* cache,
                                     const std::string& path) {
   runtime::FaultInjector& faults = runtime::FaultInjector::global();

@@ -25,17 +25,22 @@ RecoveryArtifacts recover_words_detailed(const nl::Netlist& netlist,
                    "netlist has no sequential elements");
 
   phase.reset();
-  ShardedPredictionCache local_cache;
   ShardedPredictionCache* cache =
-      options.external_cache ? options.external_cache : &local_cache;
+      options.use_prediction_cache ? options.external_cache : nullptr;
+  const std::uint64_t hits_before = cache ? cache->hits() : 0;
+  const std::uint64_t misses_before = cache ? cache->misses() : 0;
   ScoringOptions scoring;
   scoring.num_threads = options.num_threads;
-  artifacts.scores = score_all_pairs(
-      artifacts.sequences, tokenizer, options.filter, model,
-      options.use_prediction_cache ? cache : nullptr, scoring);
+  artifacts.scores = score_all_pairs(artifacts.sequences, tokenizer,
+                                     options.filter, model, cache, scoring);
   result.scoring_seconds = phase.seconds();
   result.filtered_fraction = artifacts.scores.filtered_fraction();
-  result.cache_hit_rate = cache->hit_rate();
+  if (cache) {
+    const double hits = static_cast<double>(cache->hits() - hits_before);
+    const double lookups =
+        hits + static_cast<double>(cache->misses() - misses_before);
+    result.cache_hit_rate = lookups > 0.0 ? hits / lookups : 0.0;
+  }
   result.sequence_classes = artifacts.scores.num_classes();
   result.scored_class_pairs = artifacts.scores.num_edges();
 

@@ -25,14 +25,14 @@ struct PipelineOptions {
   TokenizerOptions tokenizer;
   FilterOptions filter;
   GroupingOptions grouping;
-  /// Memoize predictions on identical generalized sequence pairs
-  /// (lossless; see prediction_cache.h). The cache lives for one
-  /// recover_words() call unless `external_cache` is set.
+  /// Consult `external_cache` (false scores every class pair through the
+  /// model even when a cache is set, e.g. to measure cold scoring).
   bool use_prediction_cache = true;
-  /// Caller-owned cache to reuse across calls (e.g. warm-started from an
-  /// RBPC snapshot via persist/cache_io.h). Null = per-call cache. Only
-  /// consulted when use_prediction_cache is true; hits are lossless, so
-  /// recovered labels are identical warm or cold.
+  /// Caller-owned cache reused across calls (e.g. warm-started from an
+  /// RBPC snapshot via persist/cache_io.h). Null = no cache: within one
+  /// call the class scorer asks each key once, so memoization only pays
+  /// across calls. Hits are lossless, so recovered labels are identical
+  /// warm or cold.
   ShardedPredictionCache* external_cache = nullptr;
   /// Worker threads for the pairwise-scoring hot path (see
   /// core::score_all_pairs): 1 = serial, 0 = REBERT_THREADS / hardware,
@@ -45,7 +45,7 @@ struct RecoveryResult {
   std::vector<int> labels;        // predicted word label per bit
   int num_words = 0;
   double filtered_fraction = 0.0; // Jaccard-filtered bit pairs
-  double cache_hit_rate = 0.0;    // cache lifetime; a lookup per class pair
+  double cache_hit_rate = 0.0;    // this call's lookups; 0 with no cache
   int sequence_classes = 0;       // distinct (token ids, tree codes)
   std::size_t scored_class_pairs = 0;  // ordered class pairs scored
   double tokenize_seconds = 0.0;

@@ -2,7 +2,6 @@
 #pragma once
 
 #include <chrono>
-#include <string>
 
 namespace rebert::util {
 
@@ -23,50 +22,6 @@ class WallTimer {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-/// Accumulates elapsed time across start/stop intervals; used to separate
-/// e.g. tokenization time from model time inside one pipeline run.
-class AccumulatingTimer {
- public:
-  void start() {
-    running_ = true;
-    timer_.reset();
-  }
-
-  void stop() {
-    if (running_) {
-      total_ += timer_.seconds();
-      running_ = false;
-    }
-  }
-
-  double total_seconds() const {
-    return total_ + (running_ ? timer_.seconds() : 0.0);
-  }
-
-  void reset() {
-    total_ = 0.0;
-    running_ = false;
-  }
-
- private:
-  WallTimer timer_;
-  double total_ = 0.0;
-  bool running_ = false;
-};
-
-/// Logs elapsed time at destruction (info level).
-class ScopedTimer {
- public:
-  explicit ScopedTimer(std::string label);
-  ~ScopedTimer();
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  std::string label_;
-  WallTimer timer_;
 };
 
 }  // namespace rebert::util

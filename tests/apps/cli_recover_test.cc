@@ -7,24 +7,9 @@
 #include <regex>
 #include <string>
 
-namespace {
+#include "cli_run.h"
 
-/// Runs a shell command and returns its stdout; fails the test on a
-/// non-zero exit.
-std::string run(const std::string& command) {
-  std::string out;
-  FILE* pipe = ::popen(command.c_str(), "r");
-  if (pipe == nullptr) {
-    ADD_FAILURE() << "popen failed: " << command;
-    return out;
-  }
-  char buffer[4096];
-  std::size_t got;
-  while ((got = std::fread(buffer, 1, sizeof(buffer), pipe)) > 0)
-    out.append(buffer, got);
-  EXPECT_EQ(::pclose(pipe), 0) << command;
-  return out;
-}
+namespace {
 
 /// The number right after `key` in `text` (keys here hold no regex
 /// metacharacters); -1 when absent.

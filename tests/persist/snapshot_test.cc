@@ -166,7 +166,7 @@ TEST(CacheIoTest, PredictionCacheRoundTrip) {
   save_cache(cache, path);
 
   core::ShardedPredictionCache warmed(1);
-  EXPECT_EQ(load_cache(&warmed, path), 2u);
+  EXPECT_EQ(warm_start_cache(&warmed, path), 2u);
   double score = 0.0;
   EXPECT_TRUE(warmed.lookup(11, &score));
   EXPECT_EQ(score, 0.5);
@@ -183,9 +183,9 @@ TEST(CacheIoTest, ShardAgnosticAcrossShardCountsAndFlavours) {
   save_cache(wide, path);
 
   core::ShardedPredictionCache narrow(4);
-  EXPECT_EQ(load_cache(&narrow, path), 100u);
+  EXPECT_EQ(warm_start_cache(&narrow, path), 100u);
   core::ShardedPredictionCache serial(1);
-  EXPECT_EQ(load_cache(&serial, path), 100u);
+  EXPECT_EQ(warm_start_cache(&serial, path), 100u);
   for (std::uint64_t k = 0; k < 100; ++k) {
     double a = -1.0, b = -1.0;
     ASSERT_TRUE(narrow.lookup(k * 0x9e3779b97f4a7c15ULL, &a));
@@ -210,7 +210,7 @@ TEST(CacheIoTest, CorruptFileWarmsNothingAndDoesNotThrow) {
   const std::string path = temp_path("cache_corrupt.rbpc");
   write_file(path, "definitely not an RBPC snapshot");
   core::ShardedPredictionCache cache;
-  EXPECT_EQ(load_cache(&cache, path), 0u);
+  EXPECT_EQ(warm_start_cache(&cache, path), 0u);
   EXPECT_EQ(cache.size(), 0u);
   std::remove(path.c_str());
 }

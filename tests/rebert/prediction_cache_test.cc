@@ -96,6 +96,9 @@ TEST(PredictionCacheTest, CachedScoringIsBitIdentical) {
 }
 
 TEST(PredictionCacheTest, PipelineReportsHitRate) {
+  // recover_words memoizes only through the caller's cache: one recover
+  // asks each class-pair key once, so the hits come from a second recover
+  // through the same cache, and a recover without one reports none.
   gen::GeneratedCircuit g = gen::generate_benchmark("b03", 0.5);
   PipelineOptions options;
   options.tokenizer.backtrace_depth = 4;
@@ -106,16 +109,32 @@ TEST(PredictionCacheTest, PipelineReportsHitRate) {
   config.tree_code_dim = 8;
   bert::BertPairClassifier model(config);
 
-  const RecoveryResult with_cache =
-      recover_words(g.netlist, model, options);
-  EXPECT_GE(with_cache.cache_hit_rate, 0.0);
+  ShardedPredictionCache cache;
+  options.external_cache = &cache;
+  const RecoveryResult cold = recover_words(g.netlist, model, options);
+  ASSERT_GT(cold.scored_class_pairs, 0u);
+  EXPECT_EQ(cache.misses(), cold.scored_class_pairs);
+  EXPECT_EQ(cache.hits(), 0u);
+  EXPECT_DOUBLE_EQ(cold.cache_hit_rate, 0.0);
 
+  const std::uint64_t misses = cache.misses();
+  const RecoveryResult warm = recover_words(g.netlist, model, options);
+  EXPECT_DOUBLE_EQ(warm.cache_hit_rate, 1.0);
+  EXPECT_EQ(cache.misses(), misses);
+  EXPECT_EQ(warm.labels, cold.labels);
+
+  const std::uint64_t lookups = cache.hits() + cache.misses();
   options.use_prediction_cache = false;
-  const RecoveryResult without_cache =
-      recover_words(g.netlist, model, options);
-  EXPECT_DOUBLE_EQ(without_cache.cache_hit_rate, 0.0);
-  // Identical partitions either way.
-  EXPECT_EQ(with_cache.labels, without_cache.labels);
+  const RecoveryResult bypassed = recover_words(g.netlist, model, options);
+  EXPECT_EQ(cache.hits() + cache.misses(), lookups);
+  EXPECT_DOUBLE_EQ(bypassed.cache_hit_rate, 0.0);
+  EXPECT_EQ(bypassed.labels, cold.labels);
+
+  options.use_prediction_cache = true;
+  options.external_cache = nullptr;
+  const RecoveryResult uncached = recover_words(g.netlist, model, options);
+  EXPECT_DOUBLE_EQ(uncached.cache_hit_rate, 0.0);
+  EXPECT_EQ(uncached.labels, cold.labels);
 }
 
 }  // namespace
