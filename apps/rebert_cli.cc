@@ -279,17 +279,6 @@ int cmd_recover(const util::FlagParser& flags) {
   } else {
     core::ExperimentOptions options = experiment_options(flags);
     options.pipeline.num_threads = threads;
-    // Cross-run prediction reuse: warm the cache from a snapshot before
-    // scoring and write it back after (lossless — labels are identical
-    // warm or cold, only wall-clock changes).
-    core::ShardedPredictionCache cache;
-    if (!cache_file.empty()) {
-      const std::size_t warmed =
-          persist::warm_start_cache(&cache, cache_file);
-      std::printf("cache: warm-started %zu entries from %s\n", warmed,
-                  cache_file.c_str());
-      options.pipeline.external_cache = &cache;
-    }
     bert::BertPairClassifier model(core::make_model_config(options));
     const std::string model_path = flags.get("model", "");
     if (!model_path.empty()) {
@@ -299,6 +288,22 @@ int cmd_recover(const util::FlagParser& flags) {
                    "warning: no --model given; using untrained weights "
                    "(results will be poor). train one with "
                    "'rebert_cli train --out model.bin'.\n");
+    }
+    // Cross-run prediction reuse: warm the cache from a snapshot before
+    // scoring and write it back after (lossless — labels are identical
+    // warm or cold, only wall-clock changes). The cache is bound to this
+    // model and kernel backend first, so another scorer's snapshot is
+    // refused and starts cold.
+    core::ShardedPredictionCache cache;
+    if (!cache_file.empty()) {
+      cache.bind(model.fingerprint());
+      const std::size_t warmed =
+          persist::warm_start_cache(&cache, cache_file);
+      std::printf("cache: warm-started %zu entries from %s "
+                  "(warm_rejected=%llu)\n",
+                  warmed, cache_file.c_str(),
+                  static_cast<unsigned long long>(cache.warm_rejected()));
+      options.pipeline.external_cache = &cache;
     }
     const core::RecoveryArtifacts artifacts =
         core::recover_words_detailed(netlist, model, options.pipeline);
@@ -313,9 +318,15 @@ int cmd_recover(const util::FlagParser& flags) {
                 result.scoring_seconds, result.grouping_seconds,
                 result.sequence_classes, result.scored_class_pairs);
     if (!cache_file.empty()) {
-      persist::save_cache(cache, cache_file);
-      std::printf("cache: saved %zu entries to %s\n", cache.size(),
-                  cache_file.c_str());
+      // An accepted snapshot that answered every lookup already holds
+      // exactly this cache: rewriting it would only cost I/O.
+      if (cache.warm_tier() != nullptr && cache.misses() == 0) {
+        std::printf("cache: snapshot %s unchanged\n", cache_file.c_str());
+      } else {
+        persist::save_cache(cache, cache_file);
+        std::printf("cache: saved %zu entries to %s\n", cache.size(),
+                    cache_file.c_str());
+      }
     }
     if (flags.get_bool("report", false) || flags.get_bool("json", false)) {
       const core::WordReport report = core::make_word_report(
@@ -678,33 +689,6 @@ int cmd_call(const util::FlagParser& flags) {
   return util::starts_with(response, "ok") ? 0 : 1;
 }
 
-// convert-snapshot: rewrite a prediction-cache snapshot between the v1
-// stream layout and the v2 mmap layout. Every load path reads both, so
-// this exists for operators pinning a fleet to one layout (v2 is what
-// save_cache writes and what O(1) warm start maps).
-int cmd_convert_snapshot(const util::FlagParser& flags) {
-  const std::string in = require_flag(flags, "in");
-  const std::string out = require_flag(flags, "out");
-  const std::string to = util::to_lower(flags.get("to", "v2"));
-  if (to != "v1" && to != "v2") {
-    std::fprintf(stderr, "--to expects v1 or v2, got '%s'\n", to.c_str());
-    return 2;
-  }
-  const persist::SnapshotLoadResult loaded = persist::load_snapshot(in);
-  if (!loaded.loaded()) {
-    std::fprintf(stderr, "convert-snapshot: cannot read %s: %s\n",
-                 in.c_str(), loaded.message.c_str());
-    return 1;
-  }
-  if (to == "v1")
-    persist::save_snapshot(loaded.records, out);
-  else
-    persist::save_snapshot_v2(loaded.records, out);
-  std::printf("convert-snapshot: %zu record(s) from %s to %s (%s)\n",
-              loaded.records.size(), in.c_str(), out.c_str(), to.c_str());
-  return 0;
-}
-
 // Scores a batch of bit pairs through the serving engine — either one
 // explicit pair (--bits a,b) or a seeded random workload (--pairs N).
 // With --cache-file the run warm-starts from a snapshot and writes one
@@ -767,14 +751,15 @@ int cmd_score(const util::FlagParser& flags) {
   std::printf("scores checksum : %016llx\n",
               static_cast<unsigned long long>(checksum));
   std::printf("cache           : %llu hit(s), %llu miss(es) (%.1f%% hit "
-              "rate), %zu entries, %zu warm-loaded\n",
+              "rate), %zu entries, %zu warm-loaded, warm_rejected=%llu\n",
               static_cast<unsigned long long>(stats.cache_hits),
               static_cast<unsigned long long>(stats.cache_misses),
               100.0 * static_cast<double>(stats.cache_hits) /
                   static_cast<double>(
                       std::max<std::uint64_t>(1, stats.cache_hits +
                                                      stats.cache_misses)),
-              stats.cache_entries, warmed);
+              stats.cache_entries, warmed,
+              static_cast<unsigned long long>(stats.warm_rejected));
   if (!cache_file.empty()) {
     engine.save_cache(cache_file);
     std::printf("cache           : saved %zu entries to %s\n",
@@ -833,8 +818,6 @@ constexpr Subcommand kSubcommands[] = {
     {"call",
      "--socket /tmp/router.sock [--retry] <request tokens...>",
      cmd_call},
-    {"convert-snapshot", "--in cache.rbpc --out cache2.rbpc [--to v2|v1]",
-     cmd_convert_snapshot},
     {"score",
      "[--bench b07] [--pairs 200 | --bits a,b] [--seed 1] "
      "[--cache-file cache.rbpc] [--model model.bin] [--threads N]",

@@ -1,5 +1,5 @@
-// The inference forward of BertPairClassifier and the weight packing it
-// reads.
+// The inference forward of BertPairClassifier, the weight packing it
+// reads and the fingerprint of the scores it computes.
 //
 // Inference has one path: inference_logits() below. It runs the same
 // kernels in the same per-element order as the training forward with
@@ -10,12 +10,15 @@
 // [H, 3H] matrix, so one GEMM projects all three.
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <initializer_list>
 
 #include "bert/model.h"
 #include "kernels/aligned.h"
 #include "kernels/arena.h"
+#include "kernels/backend.h"
 #include "kernels/kernels.h"
+#include "persist/mmap_snapshot.h"
 #include "util/check.h"
 
 namespace rebert::bert {
@@ -82,6 +85,24 @@ BertPairClassifier::PackedWeights::Linear::pack(
 
 namespace {
 
+/// Every BertConfig field inference reads; seed and dropout only shape
+/// training, so a checkpoint loaded into any seed scores identically.
+std::uint64_t config_digest(const BertConfig& config) {
+  const std::uint64_t fields[] = {
+      static_cast<std::uint64_t>(config.vocab_size),
+      static_cast<std::uint64_t>(config.hidden),
+      static_cast<std::uint64_t>(config.num_layers),
+      static_cast<std::uint64_t>(config.num_heads),
+      static_cast<std::uint64_t>(config.intermediate),
+      static_cast<std::uint64_t>(config.max_seq_len),
+      static_cast<std::uint64_t>(config.tree_code_dim),
+      static_cast<std::uint64_t>(config.num_classes),
+      config.use_word_embedding,
+      config.use_position_embedding,
+      config.use_tree_embedding};
+  return persist::fnv1a_words(fields, sizeof(fields));
+}
+
 void layer_norm(const tensor::LayerNorm& norm, const float* x, int rows,
                 int cols, float* y) {
   kernels::layer_norm(x, norm.gamma.value.data(), norm.beta.value.data(),
@@ -110,6 +131,22 @@ void BertPairClassifier::pack_weights() {
   packed->classifier = pack({&classifier_});
   packed_.reset(packed.release());
   packed_generation_ = weights_generation_;
+  // Digested once per pack, so fingerprint() only folds in the backend.
+  std::uint64_t digest = config_digest(config_);
+  for (const tensor::Parameter* p : parameter_list_)
+    digest = persist::fnv1a_words(
+        p->value.data(), static_cast<std::size_t>(p->value.numel()) *
+                             sizeof(float), digest);
+  packed_digest_ = digest;
+}
+
+std::uint64_t BertPairClassifier::fingerprint() const {
+  REBERT_CHECK_MSG(packed_generation_ == weights_generation_,
+                   "model fingerprint is stale: parameters were handed out "
+                   "for mutation after the last pack_weights()");
+  const char* backend = kernels::backend_name(kernels::active_backend());
+  return persist::fnv1a_update(packed_digest_, backend,
+                               std::strlen(backend));
 }
 
 Tensor BertPairClassifier::inference_logits(

@@ -78,6 +78,15 @@ class BertPairClassifier {
   /// trainer does so after every optimizer step.
   void pack_weights();
 
+  /// Identity of the scores this model computes, for stored scores to be
+  /// checked against (RBPC snapshots, prediction caches): FNV-1a over the
+  /// config fields inference reads and the weight values, digested once
+  /// per pack_weights(), then the active kernel backend's name — scores
+  /// are bit-identical per backend only. Equal weights give equal
+  /// fingerprints in any process.
+  /// Throws util::CheckError when the weights are stale, like inference.
+  std::uint64_t fingerprint() const;
+
   /// RNG used for dropout; exposed so training runs are reproducible.
   util::Rng& dropout_rng() { return dropout_rng_; }
 
@@ -110,6 +119,9 @@ class BertPairClassifier {
   /// value pack_weights() packed, and inference requires the two equal.
   std::uint64_t weights_generation_ = 0;
   std::uint64_t packed_generation_ = 0;
+  /// Config and weight digest of the last pack; fingerprint() adds the
+  /// backend.
+  std::uint64_t packed_digest_ = 0;
 };
 
 }  // namespace rebert::bert

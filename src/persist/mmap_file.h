@@ -1,7 +1,7 @@
 // MmapFile — a read-only memory mapping with bounds-checked access.
 //
 // The zero-copy half of the persistence layer: artifacts whose layout
-// supports it (RBPC v2 snapshots, RBTW checkpoints) are validated in
+// supports it (RBPC snapshots, RBTW checkpoints) are validated in
 // place and then served directly off the mapping, so a warm start costs
 // one mmap() plus a checksum scan instead of a stream parse that
 // materializes every record. The mapping is MAP_SHARED + PROT_READ:

@@ -1,46 +1,93 @@
-// RBPC v2 — the mmap-able prediction-cache snapshot layout.
+// RBPC — the on-disk prediction-cache snapshot format, mmap-able.
 //
-//   bytes 0..3   magic "RBPC"            (same magic as v1)
-//   u32          version = 2
+// Layout (native endianness, like the RBTW checkpoint format):
+//
+//   bytes 0..3   magic "RBPC"
+//   u32          version = 3
 //   u64          record count
 //   u64          record stride in bytes  (this build writes and reads 16)
-//   u64          FNV-1a checksum over the record table
+//   u64          FNV-1a checksum over the fingerprint and the record table
+//   u64          fingerprint of the scorer that computed the scores
 //   count ×      { u64 key, f64 score }  — sorted strictly ascending by key
 //
-// Against v1 the differences are exactly what zero-copy serving needs:
-// the checksum moved into the header (a validator never seeks past data
-// it has not sized yet), the stride is explicit (a reader rejects layout
-// skew instead of misindexing), and the record table is the final,
-// binary-searchable artifact — open() validates bounds, magic, version,
-// stride, checksum, and key order, and then lookups run directly off the
-// mapping. No allocation or per-record parse ever happens, which is why a
-// respawned backend warm-starts in O(1) work beyond one checksum pass.
+// A score is a function of the pair, the model weights and the kernel
+// backend (bit-identical per backend only), so the header names the
+// scorer (bert::BertPairClassifier::fingerprint). The cache, not this
+// layer, decides whether a fingerprint is acceptable: see
+// persist/cache_io.h.
 //
-// Like v1 loading (snapshot.h), open() NEVER throws on file content:
-// corrupt, truncated, stride-skewed, or unsorted files come back kCorrupt
-// with a one-line diagnosis and the caller starts cold.
+// The checksum sits in the header (a validator never seeks past data it
+// has not sized yet), the stride is explicit (a reader rejects layout skew
+// instead of misindexing), and the record table is the final,
+// binary-searchable artifact. open() validates bounds, magic, version,
+// stride, checksum and key order, and then lookups run directly off the
+// mapping: no allocation or per-record parse, so a respawned backend
+// warm-starts in O(1) work beyond one checksum pass. Records are flat
+// (key, score) pairs with no shard structure, so a snapshot written by a
+// 64-shard cache warm-starts a 4-shard one unchanged.
+//
+// open() NEVER throws on file content: a corrupt, truncated, stride-skewed,
+// unsorted or older-version file comes back kCorrupt with a one-line
+// diagnosis and the caller starts cold. A daemon restarting into a torn
+// snapshot must serve, not crash. Saving goes through the atomic writer
+// (atomic_file.h), so a crash mid-save leaves the previous snapshot intact.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "persist/mmap_file.h"
-#include "persist/snapshot.h"
 
 namespace rebert::persist {
 
-inline constexpr std::uint32_t kSnapshotVersionMmap = 2;
-inline constexpr std::size_t kSnapshotV2HeaderBytes = 32;
-inline constexpr std::size_t kSnapshotV2Stride = 16;
+/// One cached prediction: (pair key, score). The key scheme belongs to
+/// core::PredictionCache::key_of; this layer just persists the mapping.
+using CacheRecord = std::pair<std::uint64_t, double>;
 
-/// Atomically write `records` as an RBPC v2 artifact (sorted by key
-/// first). Throws util::CheckError on I/O failure, like save_snapshot.
-void save_snapshot_v2(std::vector<CacheRecord> records,
-                      const std::string& path);
+inline constexpr char kSnapshotMagic[4] = {'R', 'B', 'P', 'C'};
+inline constexpr std::uint32_t kSnapshotVersion = 3;
+inline constexpr std::size_t kSnapshotHeaderBytes = 40;
+inline constexpr std::size_t kSnapshotStride = 16;
 
-/// A validated, mapped RBPC v2 snapshot serving lookups off the mapping.
+/// FNV-1a over `size` bytes — the checksum every persist artifact uses,
+/// exposed so the formats share one implementation and the tests can
+/// cross-check it.
+std::uint64_t fnv1a(const void* data, std::size_t size);
+
+/// Streaming form: fold `size` more bytes into a running FNV-1a state.
+/// Seed with kFnv1aInit; fnv1a(d, n) == fnv1a_update(kFnv1aInit, d, n).
+/// What writers too large to buffer (checkpoint saves) hash with.
+inline constexpr std::uint64_t kFnv1aInit = 14695981039346656037ULL;
+std::uint64_t fnv1a_update(std::uint64_t state, const void* data,
+                           std::size_t size);
+
+/// FNV-1a folded over 8-byte words instead of bytes, continuing from
+/// `state`. One multiply per word instead of eight makes validating a
+/// mapped artifact (or digesting a model's weights) ~8× cheaper than
+/// byte-wise FNV's serial multiply chain. A trailing partial word is
+/// folded byte-wise.
+std::uint64_t fnv1a_words(const void* data, std::size_t size,
+                          std::uint64_t state = kFnv1aInit);
+
+enum class SnapshotLoadStatus {
+  kLoaded,   // snapshot mapped and validated
+  kMissing,  // no file at the path (a normal first run)
+  kCorrupt,  // bad magic / version skew / truncation / checksum mismatch
+};
+
+/// Atomically write `records` (sorted by key first; duplicate keys keep
+/// their first record) as an RBPC artifact naming `fingerprint` as the
+/// scorer. Identical records and fingerprint give identical bytes. Throws
+/// util::CheckError with errno detail on I/O failure — saving is a caller
+/// action whose failure must be loud, unlike loading.
+void save_snapshot(std::vector<CacheRecord> records, std::uint64_t fingerprint,
+                   const std::string& path);
+
+/// A validated, mapped RBPC snapshot serving lookups off the mapping.
 class MmapSnapshot {
  public:
   struct OpenResult {
@@ -56,6 +103,7 @@ class MmapSnapshot {
   static OpenResult open(const std::string& path);
 
   std::size_t count() const { return count_; }
+  std::uint64_t fingerprint() const { return fingerprint_; }
   const std::string& path() const { return file_.path(); }
 
   /// Binary search over the mapped record table.
@@ -70,6 +118,7 @@ class MmapSnapshot {
   MmapFile file_;
   const unsigned char* table_ = nullptr;
   std::size_t count_ = 0;
+  std::uint64_t fingerprint_ = 0;
 };
 
 }  // namespace rebert::persist

@@ -31,8 +31,9 @@ struct PipelineOptions {
   /// Caller-owned cache reused across calls (e.g. warm-started from an
   /// RBPC snapshot via persist/cache_io.h). Null = no cache: within one
   /// call the class scorer asks each key once, so memoization only pays
-  /// across calls. Hits are lossless, so recovered labels are identical
-  /// warm or cold.
+  /// across calls. Every call binds it to the model's fingerprint, which
+  /// drops scores of another model or kernel backend; hits are lossless,
+  /// so recovered labels are identical warm or cold.
   ShardedPredictionCache* external_cache = nullptr;
   /// Worker threads for the pairwise-scoring hot path (see
   /// core::score_all_pairs): 1 = serial, 0 = REBERT_THREADS / hardware,

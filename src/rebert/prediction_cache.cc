@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/check.h"
+#include "util/logging.h"
 
 namespace rebert::core {
 
@@ -158,35 +159,54 @@ ShardedPredictionCache::export_entries() const {
   return out;
 }
 
-void ShardedPredictionCache::attach_warm_tier(
+void ShardedPredictionCache::bind(std::uint64_t fingerprint) {
+  if (fingerprint_.load(std::memory_order_acquire) == fingerprint) return;
+  util::MutexLock lock(tier_mu_);
+  const std::uint64_t previous = fingerprint_.load(std::memory_order_relaxed);
+  if (previous == fingerprint) return;
+  const ScoreTier* tier = warm_tier_.load(std::memory_order_relaxed);
+  if (tier != nullptr && tier->fingerprint() != fingerprint) {
+    LOG_WARN << "prediction cache: dropping a warm tier of " << tier->size()
+             << " score(s) from scorer " << std::hex << tier->fingerprint()
+             << "; now scoring with " << fingerprint;
+    warm_tier_.store(nullptr, std::memory_order_release);
+    bump(warm_rejected_);
+  }
+  if (previous != 0) clear_shards();
+  fingerprint_.store(fingerprint, std::memory_order_release);
+}
+
+bool ShardedPredictionCache::attach_warm_tier(
     std::shared_ptr<const ScoreTier> tier) {
   util::MutexLock lock(tier_mu_);
+  const std::uint64_t bound = fingerprint_.load(std::memory_order_relaxed);
+  if (tier != nullptr && bound != 0 && tier->fingerprint() != bound) {
+    bump(warm_rejected_);
+    return false;
+  }
+  if (tier != nullptr && bound == 0)
+    fingerprint_.store(tier->fingerprint(), std::memory_order_release);
   const ScoreTier* raw = tier.get();
   if (tier != nullptr) tier_owners_.push_back(std::move(tier));
   warm_tier_.store(raw, std::memory_order_release);
+  return true;
 }
 
-std::size_t ShardedPredictionCache::import_entries(
-    const std::vector<std::pair<std::uint64_t, double>>& entries) {
-  std::size_t inserted = 0;
-  for (const auto& [key, score] : entries) {
-    Shard& shard = shard_for(key);
-    util::MutexLock lock(shard.mu);
-    if (shard.entries.emplace(key, score).second) ++inserted;
-  }
-  return inserted;
-}
-
-void ShardedPredictionCache::clear() {
+void ShardedPredictionCache::clear_shards() {
   for (const auto& shard : shards_) {
     util::MutexLock lock(shard->mu);
     shard->entries.clear();
   }
+}
+
+void ShardedPredictionCache::clear() {
+  clear_shards();
   // Detach (but keep alive) any warm tier: a concurrent reader may still
   // hold the old pointer, and the owners vector guarantees its pointee.
   warm_tier_.store(nullptr, std::memory_order_release);
   hits_.store(0, std::memory_order_relaxed);
   misses_.store(0, std::memory_order_relaxed);
+  warm_rejected_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace rebert::core

@@ -12,12 +12,15 @@
 // snapshots.
 //
 // PredictionCache holds the key scheme that the cache, RBPC snapshots and
-// the serve engine share. ShardedPredictionCache is the cache itself,
-// mutex-striped for the concurrent runtime: the key space is split across
-// kShards independent maps, each behind its own mutex, so parallel scorers
-// rarely contend on the same lock. insert() of the same key from two
-// threads is benign: inference is deterministic, so both write the same
-// score.
+// the serve engine share. A key hashes only the pair; the scorer (model
+// weights, config, kernel backend) is the cache's binding instead, so a
+// score is never served to a scorer that did not compute it (bind()).
+//
+// ShardedPredictionCache is the cache itself, mutex-striped for the
+// concurrent runtime: the key space is split across kShards independent
+// maps, each behind its own mutex, so parallel scorers rarely contend on
+// the same lock. insert() of the same key from two threads is benign:
+// inference is deterministic, so both write the same score.
 #pragma once
 
 #include <atomic>
@@ -34,7 +37,7 @@ namespace rebert::core {
 
 /// A read-only score source layered beneath ShardedPredictionCache's
 /// mutable shards — the hook the zero-copy warm start plugs into: a
-/// mapped RBPC v2 snapshot (persist/mmap_snapshot.h) implements this and
+/// mapped RBPC snapshot (persist/mmap_snapshot.h) implements this and
 /// serves historical scores straight off its mapping, so a restarted
 /// engine is warm without materializing a single record. Implementations
 /// must be safe for concurrent lookup() calls and immutable for the
@@ -45,6 +48,10 @@ class ScoreTier {
 
   virtual bool lookup(std::uint64_t key, double* score) const = 0;
   virtual std::size_t size() const = 0;
+
+  /// The scorer that computed these scores (see
+  /// ShardedPredictionCache::bind).
+  virtual std::uint64_t fingerprint() const = 0;
 
   /// Append every record (sorted by key) to *out — what export/merge
   /// paths use so snapshots taken from a warm cache keep the tier's
@@ -90,19 +97,40 @@ class ShardedPredictionCache {
   /// shard structure.
   std::vector<std::pair<std::uint64_t, double>> export_entries() const;
 
-  /// Warm-start from snapshot records; each key lands in its own shard.
-  /// Existing keys keep their value, statistics are untouched. Returns the
-  /// number of records inserted. Thread-safe like every other method.
-  std::size_t import_entries(
-      const std::vector<std::pair<std::uint64_t, double>>& entries);
+  /// The scorer whose results this cache holds: what the last bind()
+  /// named, or, before any bind, the fingerprint of an attached warm tier
+  /// (0 = none). save_cache() writes it into the snapshot header.
+  std::uint64_t fingerprint() const {
+    return fingerprint_.load(std::memory_order_acquire);
+  }
+
+  /// Declare that `fingerprint` (bert::BertPairClassifier::fingerprint —
+  /// weights, config and kernel backend) scores through this cache from
+  /// now on. Scores of any other scorer go: a warm tier with another
+  /// fingerprint is detached (counted in warm_rejected()), and shard
+  /// entries learned under another bound scorer are cleared. Entries
+  /// inserted before any binding are adopted. Rebinding the same
+  /// fingerprint is one atomic load — callers bind on every use.
+  void bind(std::uint64_t fingerprint) EXCLUDES(tier_mu_);
 
   /// Attach a read-only warm tier consulted after a shard miss (a tier
   /// hit counts as a cache hit, so warmed keys are never re-scored or
-  /// re-inserted). Replaces any previous tier; earlier tiers stay alive
-  /// until the cache dies, so a concurrent lookup never races a teardown.
-  /// size() and export_entries() include the tier's records.
-  void attach_warm_tier(std::shared_ptr<const ScoreTier> tier)
+  /// re-inserted). Refused — false, counted in warm_rejected() — when the
+  /// cache is bound to a scorer other than the tier's; an unbound cache
+  /// takes the tier's fingerprint as its own. Replaces any previous tier;
+  /// earlier tiers stay alive until the cache dies, so a concurrent lookup
+  /// never races a teardown. size() and export_entries() include the
+  /// tier's records.
+  bool attach_warm_tier(std::shared_ptr<const ScoreTier> tier)
       EXCLUDES(tier_mu_);
+
+  /// Snapshots refused at warm start (corrupt, an older format, or another
+  /// scorer's) plus warm tiers a bind() detached.
+  std::uint64_t warm_rejected() const {
+    return warm_rejected_.load(std::memory_order_relaxed);
+  }
+  /// Count a snapshot the warm-start path refused before attaching it.
+  void count_warm_rejected() { bump(warm_rejected_); }
 
   /// The currently attached tier (nullptr when none) — for tests and
   /// stats plumbing.
@@ -110,6 +138,8 @@ class ShardedPredictionCache {
     return warm_tier_.load(std::memory_order_acquire);
   }
 
+  /// Drop every entry and the warm tier, and zero the statistics. The
+  /// binding stays: it names the scorer, not the contents.
   void clear() EXCLUDES(tier_mu_);
 
  private:
@@ -122,6 +152,7 @@ class ShardedPredictionCache {
   };
 
   Shard& shard_for(std::uint64_t key) const;
+  void clear_shards();
 
   // Hit/miss counters: relaxed atomics (they only feed statistics, never
   // control flow) that saturate instead of wrapping, so hit_rate() stays
@@ -129,6 +160,7 @@ class ShardedPredictionCache {
   static void bump(std::atomic<std::uint64_t>& counter);
   mutable std::atomic<std::uint64_t> hits_{0};
   mutable std::atomic<std::uint64_t> misses_{0};
+  std::atomic<std::uint64_t> warm_rejected_{0};
   std::vector<std::unique_ptr<Shard>> shards_;
   std::uint64_t shard_mask_ = 0;
 
@@ -137,6 +169,8 @@ class ShardedPredictionCache {
   // attached alive, so a reader that loaded a pointer can never see its
   // pointee destroyed.
   std::atomic<const ScoreTier*> warm_tier_{nullptr};
+  // Written under tier_mu_; read lock-free by bind()'s fast path.
+  std::atomic<std::uint64_t> fingerprint_{0};
   mutable util::Mutex tier_mu_{"cache.tier"};
   std::vector<std::shared_ptr<const ScoreTier>> tier_owners_
       GUARDED_BY(tier_mu_);

@@ -357,6 +357,7 @@ EngineStats InferenceEngine::stats() const {
   stats.cache_misses = cache_.misses();
   stats.cache_entries = cache_.size();
   stats.warm_entries = warm_entries_.load(std::memory_order_relaxed);
+  stats.warm_rejected = cache_.warm_rejected();
   {
     util::MutexLock lock(benches_mu_);
     stats.benches_loaded = benches_.size();
@@ -381,9 +382,9 @@ EngineStats InferenceEngine::stats() const {
 }
 
 std::size_t InferenceEngine::load_cache(const std::string& path) {
-  // v2 snapshots attach as a zero-copy warm tier (validate + mmap, no
-  // materialization); v1 snapshots stream-import as before. Either way a
-  // missing/corrupt file warms nothing and serving starts cold.
+  // The snapshot attaches as a zero-copy warm tier (validate + mmap, no
+  // materialization); a missing, corrupt or foreign file warms nothing and
+  // serving starts cold.
   const std::size_t loaded = persist::warm_start_cache(&cache_, path);
   warm_entries_.fetch_add(loaded, std::memory_order_relaxed);
   if (loaded > 0) {

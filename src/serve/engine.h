@@ -98,7 +98,8 @@ struct EngineStats {
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   std::size_t cache_entries = 0;
-  std::size_t warm_entries = 0;  // entries imported by load_cache()
+  std::size_t warm_entries = 0;     // entries imported by load_cache()
+  std::uint64_t warm_rejected = 0;  // snapshots load_cache() refused
   std::size_t benches_loaded = 0;
   double uptime_seconds = 0.0;
   // Robustness gauges and counters (see class comment).
@@ -230,17 +231,18 @@ class InferenceEngine {
   /// The model registry behind score/recover (health reporting, tests).
   ModelRegistry& registry() { return registry_; }
 
-  /// Warm-start the default model's prediction cache from an RBPC snapshot.
-  /// A v2 snapshot (persist/mmap_snapshot.h) is validated and mapped as a
-  /// zero-copy warm tier — O(1) in the record count, scores served off the
-  /// mapping; a v1 snapshot stream-imports (persist/snapshot.h). Missing,
-  /// truncated, or corrupt files warm nothing and never throw — the engine
-  /// starts cold with a warning. Returns the entries made available (also
-  /// reported by stats() as warm_entries).
+  /// Warm-start the default model's prediction cache from an RBPC snapshot
+  /// (persist/mmap_snapshot.h), validated and mapped as a zero-copy warm
+  /// tier — O(1) in the record count, scores served off the mapping.
+  /// Missing, truncated, corrupt or older-version files, and snapshots of
+  /// another model or kernel backend, warm nothing and never throw — the
+  /// engine starts cold with a warning, and stats() counts the refusal as
+  /// warm_rejected. Returns the entries made available (also reported by
+  /// stats() as warm_entries).
   std::size_t load_cache(const std::string& path);
 
   /// Atomically snapshot the default prediction cache to `path` in the
-  /// mmap-able RBPC v2 layout (crash mid-save leaves any previous snapshot
+  /// mmap-able RBPC layout (crash mid-save leaves any previous snapshot
   /// intact; a process still mapping the replaced file keeps its old inode).
   /// Throws util::CheckError with errno detail on I/O failure. Safe to call
   /// while requests are in flight — the cache is read under its shard locks.

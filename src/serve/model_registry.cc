@@ -113,6 +113,11 @@ ModelRegistry::ModelRegistry(const ModelManifest& manifest,
           std::make_unique<core::ShardedPredictionCache>(cache_shards);
       entry->cache = entry->owned_cache.get();
     }
+    // Bound before any warm start, so a snapshot of another model or
+    // kernel backend is refused instead of served. (An entry whose
+    // checkpoint failed never reads its cache; its weights have no
+    // fingerprint.)
+    if (entry->load_ok) entry->cache->bind(entry->model->fingerprint());
     entries_.push_back(std::move(entry));
   }
 }

@@ -29,7 +29,9 @@
 // function of (pair, model), so sharing the key space across models would
 // serve one model's probabilities for another's. The default entry shares
 // the engine's persisted cache, which keeps single-model deployments —
-// and their warm-start snapshots — exactly as before.
+// and their warm-start snapshots — exactly as before. Every entry's cache
+// is bound to its model's fingerprint at construction, so a snapshot
+// written by another model or kernel backend starts cold.
 #pragma once
 
 #include <atomic>

@@ -25,6 +25,7 @@ std::string format_stats(const EngineStats& stats) {
       << " cache_misses=" << stats.cache_misses
       << " cache_entries=" << stats.cache_entries
       << " warm_entries=" << stats.warm_entries
+      << " warm_rejected=" << stats.warm_rejected
       << " benches=" << stats.benches_loaded
       << " shed_requests=" << stats.shed_requests
       << " deadline_exceeded=" << stats.deadline_exceeded

@@ -6,7 +6,7 @@
 
 #include "persist/atomic_file.h"
 #include "persist/mmap_file.h"
-#include "persist/snapshot.h"
+#include "persist/mmap_snapshot.h"
 #include "util/check.h"
 
 namespace rebert::tensor {
@@ -14,10 +14,9 @@ namespace rebert::tensor {
 namespace {
 
 constexpr char kMagic[4] = {'R', 'B', 'T', 'W'};
-// v2 appends a trailing FNV-1a checksum over the body (everything between
-// the 8-byte magic+version prefix and the 8-byte trailer), so a clipped
-// or bit-flipped checkpoint is rejected before any tensor is filled.
-// v1 files (no trailer) load unchanged.
+// A trailing FNV-1a checksum covers the body (everything between the
+// 8-byte magic+version prefix and the 8-byte trailer), so a clipped or
+// bit-flipped checkpoint is rejected before any tensor is filled.
 constexpr std::uint32_t kVersion = 2;
 
 /// Stream writer that folds every body byte into a running checksum, so a
@@ -71,7 +70,7 @@ class MappedReader {
 
  private:
   const persist::MmapFile& file_;
-  std::size_t limit_;  // first byte the body must not touch (v2: trailer)
+  std::size_t limit_;  // first byte the body must not touch (the trailer)
   std::size_t offset_ = 0;
 };
 
@@ -106,7 +105,7 @@ void save_parameters(const std::vector<const Parameter*>& params,
 
 void load_parameters(const std::vector<Parameter*>& params,
                      const std::string& path) {
-  // The whole file is mapped and validated (magic, version, v2 checksum)
+  // The whole file is mapped and validated (magic, version, checksum)
   // before a single tensor is filled; parsing then runs straight off the
   // mapping with a bounds-checked cursor, no stream buffering.
   persist::MmapFile file;
@@ -124,30 +123,27 @@ void load_parameters(const std::vector<Parameter*>& params,
   std::uint32_t version = 0;
   std::memcpy(&version, file.bytes(sizeof(kMagic), sizeof(version)),
               sizeof(version));
-  REBERT_CHECK_MSG(version == 1 || version == kVersion,
+  REBERT_CHECK_MSG(version == kVersion,
                    "unsupported checkpoint version "
-                       << version << " (this build reads versions 1 and 2)");
+                       << version << " (this build reads version "
+                       << kVersion << " only)");
 
-  std::size_t body_end = file.size();
-  if (version == kVersion) {
-    REBERT_CHECK_MSG(file.size() >= kPrefixBytes + sizeof(std::uint64_t),
-                     "truncated checkpoint "
-                         << path << ": checksum trailer at offset "
-                         << kPrefixBytes << " of " << file.size()
-                         << " bytes");
-    body_end = file.size() - sizeof(std::uint64_t);
-    std::uint64_t expected = 0;
-    std::memcpy(&expected, file.bytes(body_end, sizeof(expected)),
-                sizeof(expected));
-    const std::uint64_t actual =
-        persist::fnv1a(file.bytes(kPrefixBytes, body_end - kPrefixBytes),
-                       body_end - kPrefixBytes);
-    REBERT_CHECK_MSG(actual == expected,
-                     "corrupt checkpoint "
-                         << path << ": checksum mismatch over the body at "
-                         << "offset " << kPrefixBytes << " of "
-                         << file.size() << " bytes");
-  }
+  REBERT_CHECK_MSG(file.size() >= kPrefixBytes + sizeof(std::uint64_t),
+                   "truncated checkpoint "
+                       << path << ": checksum trailer at offset "
+                       << kPrefixBytes << " of " << file.size() << " bytes");
+  const std::size_t body_end = file.size() - sizeof(std::uint64_t);
+  std::uint64_t expected = 0;
+  std::memcpy(&expected, file.bytes(body_end, sizeof(expected)),
+              sizeof(expected));
+  const std::uint64_t actual =
+      persist::fnv1a(file.bytes(kPrefixBytes, body_end - kPrefixBytes),
+                     body_end - kPrefixBytes);
+  REBERT_CHECK_MSG(actual == expected,
+                   "corrupt checkpoint "
+                       << path << ": checksum mismatch over the body at "
+                       << "offset " << kPrefixBytes << " of " << file.size()
+                       << " bytes");
 
   MappedReader reader(file, body_end);
   reader.skip(kPrefixBytes);  // magic + version, validated above

@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "bert/trainer.h"
+#include "kernels/backend.h"
 #include "tensor/gradcheck.h"
 #include "util/check.h"
 
@@ -143,6 +144,44 @@ TEST(ModelTest, SaveLoadRoundTripPreservesPredictions) {
   loaded.load(path);
   EXPECT_NEAR(loaded.predict_same_word_probability(s), p_before, 1e-6);
   std::remove(path.c_str());
+}
+
+TEST(ModelTest, FingerprintNamesWeightsConfigAndBackend) {
+  const BertConfig c = tiny_config();
+  BertPairClassifier model(c);
+  const std::uint64_t fresh = model.fingerprint();
+  // Derived from content, not from the instance.
+  EXPECT_EQ(BertPairClassifier(c).fingerprint(), fresh);
+
+  BertConfig wider = c;
+  wider.max_seq_len = 32;
+  EXPECT_NE(BertPairClassifier(wider).fingerprint(), fresh);
+
+  // Stale weights have no fingerprint, like they have no scores.
+  model.parameters().front()->value.data()[0] += 0.25f;
+  EXPECT_THROW(model.fingerprint(), util::CheckError);
+  model.pack_weights();
+  const std::uint64_t changed = model.fingerprint();
+  EXPECT_NE(changed, fresh);
+
+  // A checkpoint loaded into another init seed is the same scorer.
+  const std::string path = ::testing::TempDir() + "/rebert_fingerprint.bin";
+  model.save(path);
+  BertConfig reseeded = c;
+  reseeded.seed = 12345;
+  BertPairClassifier loaded(reseeded);
+  loaded.load(path);
+  EXPECT_EQ(loaded.fingerprint(), changed);
+  std::remove(path.c_str());
+
+  if (kernels::avx2_available()) {
+    const kernels::Backend previous = kernels::active_backend();
+    kernels::set_backend(kernels::Backend::kScalar);
+    const std::uint64_t scalar = model.fingerprint();
+    kernels::set_backend(kernels::Backend::kAvx2);
+    EXPECT_NE(model.fingerprint(), scalar);
+    kernels::set_backend(previous);
+  }
 }
 
 TEST(ModelTest, GradcheckEndToEnd) {

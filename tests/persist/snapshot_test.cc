@@ -1,22 +1,28 @@
-// RBPC snapshot format: round trips for both cache flavours, and the
-// corruption suite — truncation, bad magic, bad checksum, version skew,
-// trailing garbage all come back kCorrupt (graceful cold start), never an
-// exception.
-#include "persist/snapshot.h"
-
+// RBPC snapshots through the cache's warm-start contract: a snapshot
+// carries the fingerprint of the scorer that filled the cache, identical
+// caches write identical bytes, and every defective, older-version or
+// foreign file starts the cache cold — no throw, no tier, counted in
+// warm_rejected(). (mmap_snapshot_test.cc checks the mapper's diagnoses.)
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "persist/cache_io.h"
+#include "persist/mmap_snapshot.h"
 #include "rebert/prediction_cache.h"
 
 namespace rebert::persist {
 namespace {
+
+constexpr std::uint64_t kScorer = 0x5c0fe7ULL;
+constexpr std::uint64_t kOtherScorer = 0xa77e12ULL;
 
 std::string temp_path(const char* name) {
   return ::testing::TempDir() + "/" + name;
@@ -37,141 +43,184 @@ std::vector<CacheRecord> sample_records() {
   return {{42, 0.75}, {7, 0.125}, {1ULL << 60, 1.0}, {0, 0.0}};
 }
 
+/// Warm-starts a cache bound to kScorer from `path` and expects the cold,
+/// counted refusal.
+void expect_rejected(const std::string& path) {
+  core::ShardedPredictionCache cache;
+  cache.bind(kScorer);
+  EXPECT_EQ(warm_start_cache(&cache, path), 0u);  // never throws
+  EXPECT_EQ(cache.warm_tier(), nullptr);
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.warm_rejected(), 1u);
+}
+
 TEST(SnapshotTest, RoundTripSortsByKey) {
   const std::string path = temp_path("snap_roundtrip.rbpc");
-  save_snapshot(sample_records(), path);
-  const SnapshotLoadResult result = load_snapshot(path);
-  ASSERT_TRUE(result.loaded()) << result.message;
-  ASSERT_EQ(result.records.size(), 4u);
-  EXPECT_EQ(result.records[0], (CacheRecord{0, 0.0}));
-  EXPECT_EQ(result.records[1], (CacheRecord{7, 0.125}));
-  EXPECT_EQ(result.records[2], (CacheRecord{42, 0.75}));
-  EXPECT_EQ(result.records[3], (CacheRecord{1ULL << 60, 1.0}));
+  core::ShardedPredictionCache cache;
+  cache.bind(kScorer);
+  for (const CacheRecord& record : sample_records())
+    cache.insert(record.first, record.second);
+  save_cache(cache, path);
+
+  const MmapSnapshot::OpenResult opened = MmapSnapshot::open(path);
+  ASSERT_TRUE(opened.loaded()) << opened.message;
+  EXPECT_EQ(opened.snapshot->fingerprint(), kScorer);
+  ASSERT_EQ(opened.snapshot->count(), 4u);
+  EXPECT_EQ(opened.snapshot->record(0), (CacheRecord{0, 0.0}));
+  EXPECT_EQ(opened.snapshot->record(1), (CacheRecord{7, 0.125}));
+  EXPECT_EQ(opened.snapshot->record(2), (CacheRecord{42, 0.75}));
+  EXPECT_EQ(opened.snapshot->record(3), (CacheRecord{1ULL << 60, 1.0}));
   std::remove(path.c_str());
 }
 
 TEST(SnapshotTest, EmptySnapshotRoundTrips) {
   const std::string path = temp_path("snap_empty.rbpc");
-  save_snapshot({}, path);
-  const SnapshotLoadResult result = load_snapshot(path);
-  ASSERT_TRUE(result.loaded()) << result.message;
-  EXPECT_TRUE(result.records.empty());
+  core::ShardedPredictionCache empty;
+  empty.bind(kScorer);
+  save_cache(empty, path);
+  core::ShardedPredictionCache cache;
+  cache.bind(kScorer);
+  EXPECT_EQ(warm_start_cache(&cache, path), 0u);
+  EXPECT_NE(cache.warm_tier(), nullptr);  // accepted, just empty
+  EXPECT_EQ(cache.warm_rejected(), 0u);
   std::remove(path.c_str());
 }
 
 TEST(SnapshotTest, DeterministicBytes) {
-  // Same entries (any order) -> identical files. Snapshots can be diffed
-  // and content-addressed.
+  // Same entries (any order) and scorer -> identical files, so snapshots
+  // can be diffed and content-addressed; another scorer changes only the
+  // header.
   const std::string a = temp_path("snap_det_a.rbpc");
   const std::string b = temp_path("snap_det_b.rbpc");
+  const std::string c = temp_path("snap_det_c.rbpc");
   std::vector<CacheRecord> reversed = sample_records();
   std::reverse(reversed.begin(), reversed.end());
-  save_snapshot(sample_records(), a);
-  save_snapshot(reversed, b);
+  save_snapshot(sample_records(), kScorer, a);
+  save_snapshot(reversed, kScorer, b);
+  save_snapshot(sample_records(), kOtherScorer, c);
   EXPECT_EQ(read_file(a), read_file(b));
+  EXPECT_NE(read_file(a), read_file(c));
+  EXPECT_EQ(read_file(a).substr(kSnapshotHeaderBytes),
+            read_file(c).substr(kSnapshotHeaderBytes));
   std::remove(a.c_str());
   std::remove(b.c_str());
+  std::remove(c.c_str());
 }
 
 TEST(SnapshotTest, MissingFileIsMissingNotCorrupt) {
-  const SnapshotLoadResult result =
-      load_snapshot(temp_path("snap_never_written.rbpc"));
-  EXPECT_EQ(result.status, SnapshotLoadStatus::kMissing);
-  EXPECT_TRUE(result.records.empty());
+  core::ShardedPredictionCache cache;
+  cache.bind(kScorer);
+  EXPECT_EQ(warm_start_cache(&cache, temp_path("snap_never_written.rbpc")),
+            0u);
+  EXPECT_EQ(cache.warm_rejected(), 0u);  // a first run, not a refusal
 }
 
 TEST(SnapshotTest, TruncatedFileRejected) {
   const std::string path = temp_path("snap_trunc.rbpc");
-  save_snapshot(sample_records(), path);
+  save_snapshot(sample_records(), kScorer, path);
   const std::string bytes = read_file(path);
-  // Clip at every prefix length: any truncation point must reject cleanly.
+  // Clip at every kind of point: any truncation must reject cleanly.
   for (const std::size_t keep :
        {bytes.size() - 1, bytes.size() / 2, std::size_t{9}, std::size_t{3}}) {
+    SCOPED_TRACE("kept " + std::to_string(keep) + " bytes");
     write_file(path, bytes.substr(0, keep));
-    const SnapshotLoadResult result = load_snapshot(path);
-    EXPECT_EQ(result.status, SnapshotLoadStatus::kCorrupt)
-        << "kept " << keep << " bytes";
-    EXPECT_TRUE(result.records.empty());
+    expect_rejected(path);
   }
   std::remove(path.c_str());
 }
 
 TEST(SnapshotTest, BadMagicRejected) {
   const std::string path = temp_path("snap_magic.rbpc");
-  save_snapshot(sample_records(), path);
+  save_snapshot(sample_records(), kScorer, path);
   std::string bytes = read_file(path);
   bytes[0] = 'X';
   write_file(path, bytes);
-  const SnapshotLoadResult result = load_snapshot(path);
-  EXPECT_EQ(result.status, SnapshotLoadStatus::kCorrupt);
-  EXPECT_NE(result.message.find("magic"), std::string::npos)
-      << result.message;
+  expect_rejected(path);
   std::remove(path.c_str());
 }
 
 TEST(SnapshotTest, VersionSkewRejectedGracefully) {
+  // A genuine RBPC v2 file (the previous layout: a 32-byte header with no
+  // fingerprint) starts cold and is counted; the next save replaces it
+  // with a snapshot the same scorer accepts.
   const std::string path = temp_path("snap_version.rbpc");
-  save_snapshot(sample_records(), path);
-  std::string bytes = read_file(path);
-  bytes[4] = static_cast<char>(kSnapshotVersion + 7);  // u32 version field
-  write_file(path, bytes);
-  const SnapshotLoadResult result = load_snapshot(path);
-  EXPECT_EQ(result.status, SnapshotLoadStatus::kCorrupt);
-  EXPECT_NE(result.message.find("version"), std::string::npos)
-      << result.message;
+  save_snapshot(sample_records(), kScorer, path);
+  const std::string v3 = read_file(path);
+  std::string v2 = v3.substr(0, 32) + v3.substr(kSnapshotHeaderBytes);
+  const std::uint32_t version = 2;
+  std::memcpy(&v2[4], &version, sizeof(version));
+  const std::string table = v3.substr(kSnapshotHeaderBytes);
+  const std::uint64_t checksum = fnv1a_words(table.data(), table.size());
+  std::memcpy(&v2[24], &checksum, sizeof(checksum));
+  write_file(path, v2);
+  expect_rejected(path);
+
+  core::ShardedPredictionCache cache;
+  cache.bind(kScorer);
+  cache.insert(1, 0.5);
+  save_cache(cache, path);
+  core::ShardedPredictionCache restarted;
+  restarted.bind(kScorer);
+  EXPECT_EQ(warm_start_cache(&restarted, path), 1u);
+  EXPECT_EQ(restarted.warm_rejected(), 0u);
   std::remove(path.c_str());
 }
 
 TEST(SnapshotTest, FlippedRecordByteFailsChecksum) {
   const std::string path = temp_path("snap_checksum.rbpc");
-  save_snapshot(sample_records(), path);
-  std::string bytes = read_file(path);
-  bytes[20] = static_cast<char>(bytes[20] ^ 0x40);  // inside record data
-  write_file(path, bytes);
-  const SnapshotLoadResult result = load_snapshot(path);
-  EXPECT_EQ(result.status, SnapshotLoadStatus::kCorrupt);
-  EXPECT_NE(result.message.find("checksum"), std::string::npos)
-      << result.message;
+  save_snapshot(sample_records(), kScorer, path);
+  const std::string bytes = read_file(path);
+  // A record byte, and a fingerprint byte: the checksum covers both, so a
+  // flipped fingerprint is corruption rather than a foreign scorer.
+  for (const std::size_t at : {kSnapshotHeaderBytes + 12, std::size_t{33}}) {
+    SCOPED_TRACE("flipped byte " + std::to_string(at));
+    std::string flipped = bytes;
+    flipped[at] = static_cast<char>(flipped[at] ^ 0x40);
+    write_file(path, flipped);
+    expect_rejected(path);
+    EXPECT_NE(MmapSnapshot::open(path).message.find("checksum"),
+              std::string::npos);
+  }
   std::remove(path.c_str());
 }
 
 TEST(SnapshotTest, TrailingGarbageRejected) {
   const std::string path = temp_path("snap_trailing.rbpc");
-  save_snapshot(sample_records(), path);
+  save_snapshot(sample_records(), kScorer, path);
   write_file(path, read_file(path) + "extra");
-  EXPECT_EQ(load_snapshot(path).status, SnapshotLoadStatus::kCorrupt);
+  expect_rejected(path);
   std::remove(path.c_str());
 }
 
 TEST(SnapshotTest, HugeCorruptCountRejectedWithoutAllocating) {
   // A flipped count field must be caught by size arithmetic, not by
-  // attempting a multi-terabyte reserve.
+  // attempting a multi-terabyte scan.
   const std::string path = temp_path("snap_count.rbpc");
-  save_snapshot(sample_records(), path);
+  save_snapshot(sample_records(), kScorer, path);
   std::string bytes = read_file(path);
   bytes[15] = static_cast<char>(0x7f);  // high byte of the u64 count
   write_file(path, bytes);
-  const SnapshotLoadResult result = load_snapshot(path);
-  EXPECT_EQ(result.status, SnapshotLoadStatus::kCorrupt);
-  EXPECT_NE(result.message.find("truncated"), std::string::npos)
-      << result.message;
+  expect_rejected(path);
   std::remove(path.c_str());
 }
 
 TEST(CacheIoTest, PredictionCacheRoundTrip) {
   const std::string path = temp_path("cache_serial.rbpc");
   core::ShardedPredictionCache cache(1);
+  cache.bind(kScorer);
   cache.insert(11, 0.5);
   cache.insert(22, 0.25);
   save_cache(cache, path);
 
   core::ShardedPredictionCache warmed(1);
+  warmed.bind(kScorer);
   EXPECT_EQ(warm_start_cache(&warmed, path), 2u);
   double score = 0.0;
   EXPECT_TRUE(warmed.lookup(11, &score));
   EXPECT_EQ(score, 0.5);
   EXPECT_TRUE(warmed.lookup(22, &score));
   EXPECT_EQ(score, 0.25);
+  EXPECT_EQ(warmed.warm_rejected(), 0u);
   std::remove(path.c_str());
 }
 
@@ -197,21 +246,63 @@ TEST(CacheIoTest, ShardAgnosticAcrossShardCountsAndFlavours) {
 }
 
 TEST(CacheIoTest, ImportKeepsExistingEntries) {
+  // A warm start never overrides what the cache learned itself: shard
+  // entries answer before the tier does.
+  const std::string path = temp_path("cache_existing.rbpc");
+  save_snapshot({{5, 0.1}, {6, 0.2}}, kScorer, path);
   core::ShardedPredictionCache cache(4);
+  cache.bind(kScorer);
   cache.insert(5, 0.9);
-  const std::size_t inserted = cache.import_entries({{5, 0.1}, {6, 0.2}});
-  EXPECT_EQ(inserted, 1u);  // key 5 already present, kept
+  EXPECT_EQ(warm_start_cache(&cache, path), 2u);
   double score = 0.0;
   ASSERT_TRUE(cache.lookup(5, &score));
   EXPECT_EQ(score, 0.9);
+  ASSERT_TRUE(cache.lookup(6, &score));
+  EXPECT_EQ(score, 0.2);
+  EXPECT_EQ(cache.export_entries().size(), 2u);
+  std::remove(path.c_str());
 }
 
 TEST(CacheIoTest, CorruptFileWarmsNothingAndDoesNotThrow) {
   const std::string path = temp_path("cache_corrupt.rbpc");
   write_file(path, "definitely not an RBPC snapshot");
+  expect_rejected(path);
+  std::remove(path.c_str());
+}
+
+TEST(CacheIoTest, AnotherScorersSnapshotStartsCold) {
+  const std::string path = temp_path("cache_foreign.rbpc");
+  save_snapshot(sample_records(), kOtherScorer, path);
+  expect_rejected(path);
+
+  // Saving from the bound cache rewrites the file under its own scorer.
   core::ShardedPredictionCache cache;
-  EXPECT_EQ(warm_start_cache(&cache, path), 0u);
-  EXPECT_EQ(cache.size(), 0u);
+  cache.bind(kScorer);
+  cache.insert(3, 0.3);
+  save_cache(cache, path);
+  EXPECT_EQ(MmapSnapshot::open(path).snapshot->fingerprint(), kScorer);
+  std::remove(path.c_str());
+}
+
+TEST(CacheIoTest, UnboundCacheAdoptsTheSnapshotsScorer) {
+  // A cache nobody bound yet takes the snapshot's scorer; the first bind
+  // keeps the tier if it names the same scorer and drops it otherwise.
+  const std::string path = temp_path("cache_adopt.rbpc");
+  save_snapshot(sample_records(), kScorer, path);
+  core::ShardedPredictionCache same;
+  EXPECT_EQ(warm_start_cache(&same, path), 4u);
+  EXPECT_EQ(same.fingerprint(), kScorer);
+  same.bind(kScorer);
+  EXPECT_NE(same.warm_tier(), nullptr);
+  EXPECT_EQ(same.warm_rejected(), 0u);
+
+  core::ShardedPredictionCache other;
+  EXPECT_EQ(warm_start_cache(&other, path), 4u);
+  other.bind(kOtherScorer);
+  EXPECT_EQ(other.warm_tier(), nullptr);
+  EXPECT_EQ(other.size(), 0u);
+  EXPECT_EQ(other.warm_rejected(), 1u);
+  EXPECT_FALSE(other.lookup(42, nullptr));
   std::remove(path.c_str());
 }
 

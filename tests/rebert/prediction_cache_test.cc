@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "circuitgen/suite.h"
 #include "rebert/pipeline.h"
 #include "rebert/scoring.h"
@@ -135,6 +137,87 @@ TEST(PredictionCacheTest, PipelineReportsHitRate) {
   const RecoveryResult uncached = recover_words(g.netlist, model, options);
   EXPECT_DOUBLE_EQ(uncached.cache_hit_rate, 0.0);
   EXPECT_EQ(uncached.labels, cold.labels);
+}
+
+/// A warm tier of fixed records written by `fingerprint`.
+class FakeTier final : public ScoreTier {
+ public:
+  FakeTier(std::uint64_t fingerprint, std::uint64_t key, double score)
+      : fingerprint_(fingerprint), key_(key), score_(score) {}
+  bool lookup(std::uint64_t key, double* score) const override {
+    if (key != key_) return false;
+    if (score) *score = score_;
+    return true;
+  }
+  std::size_t size() const override { return 1; }
+  std::uint64_t fingerprint() const override { return fingerprint_; }
+  void append_entries(
+      std::vector<std::pair<std::uint64_t, double>>* out) const override {
+    out->emplace_back(key_, score_);
+  }
+
+ private:
+  std::uint64_t fingerprint_;
+  std::uint64_t key_;
+  double score_;
+};
+
+TEST(PredictionCacheTest, BindDropsAnotherScorersTierAndEntries) {
+  ShardedPredictionCache cache;
+  cache.insert(1, 0.1);  // before any binding: adopted by the first bind
+  cache.bind(11);
+  EXPECT_EQ(cache.fingerprint(), 11u);
+  EXPECT_TRUE(cache.lookup(1, nullptr));
+
+  EXPECT_FALSE(cache.attach_warm_tier(std::make_shared<FakeTier>(22, 2, 0.2)));
+  EXPECT_EQ(cache.warm_tier(), nullptr);
+  EXPECT_EQ(cache.warm_rejected(), 1u);
+  EXPECT_TRUE(cache.attach_warm_tier(std::make_shared<FakeTier>(11, 2, 0.2)));
+  cache.bind(11);  // same scorer: keeps everything
+  EXPECT_NE(cache.warm_tier(), nullptr);
+  EXPECT_EQ(cache.size(), 2u);
+
+  cache.bind(33);  // another scorer: nothing of 11's survives
+  EXPECT_EQ(cache.fingerprint(), 33u);
+  EXPECT_EQ(cache.warm_tier(), nullptr);
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.warm_rejected(), 2u);
+  EXPECT_FALSE(cache.lookup(1, nullptr));
+  EXPECT_FALSE(cache.lookup(2, nullptr));
+
+  cache.clear();  // drops contents and counts, keeps the binding
+  EXPECT_EQ(cache.fingerprint(), 33u);
+  EXPECT_EQ(cache.warm_rejected(), 0u);
+}
+
+TEST(PredictionCacheTest, RecoverUnderAnotherModelNeverReadsTheCache) {
+  gen::GeneratedCircuit g = gen::generate_benchmark("b03", 0.5);
+  PipelineOptions options;
+  options.tokenizer.backtrace_depth = 4;
+  options.tokenizer.tree_code_dim = 8;
+  options.tokenizer.max_seq_len = 128;
+  bert::BertConfig config = bert::eval_config(32, 128);
+  config.tree_code_dim = 8;
+  bert::BertPairClassifier first(config);
+  config.seed ^= 1;  // another init: another model
+  bert::BertPairClassifier second(config);
+  ASSERT_NE(first.fingerprint(), second.fingerprint());
+
+  const RecoveryArtifacts expected =
+      recover_words_detailed(g.netlist, second, options);
+  ShardedPredictionCache cache;
+  options.external_cache = &cache;
+  (void)recover_words(g.netlist, first, options);
+  ASSERT_GT(cache.size(), 0u);
+  const RecoveryArtifacts got =
+      recover_words_detailed(g.netlist, second, options);
+  EXPECT_DOUBLE_EQ(got.result.cache_hit_rate, 0.0);
+  EXPECT_EQ(cache.fingerprint(), second.fingerprint());
+  EXPECT_EQ(got.result.labels, expected.result.labels);
+  ASSERT_EQ(got.scores.num_edges(), expected.scores.num_edges());
+  for (int i = 0; i < got.scores.size(); ++i)
+    for (int j = 0; j < got.scores.size(); ++j)
+      ASSERT_EQ(got.scores.at(i, j), expected.scores.at(i, j));
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Warm-start serving: an engine restarted onto a cache snapshot answers
 // the same workload bit-identically without recomputing, corrupt snapshots
-// degrade to a cold start, and ServeLoop's periodic snapshotting writes a
-// loadable file at the configured cadence.
+// and snapshots of another model degrade to a counted cold start, and
+// ServeLoop's periodic snapshotting writes a loadable file at the
+// configured cadence.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,6 +14,8 @@
 #include <utility>
 #include <vector>
 
+#include "bert/model.h"
+#include "rebert/pipeline.h"
 #include "serve/client.h"
 #include "serve/engine.h"
 #include "serve/serve_loop.h"
@@ -83,6 +86,7 @@ TEST(ServePersistTest, CorruptSnapshotStartsColdWithoutCrashing) {
   InferenceEngine engine(small_options(1, 4));
   EXPECT_EQ(engine.load_cache(path), 0u);
   EXPECT_EQ(engine.stats().warm_entries, 0u);
+  EXPECT_EQ(engine.stats().warm_rejected, 1u);
   // Still serves.
   const std::vector<std::string> bits = engine.bit_names("b03");
   const double score = engine.score("b03", bits[0], bits[1]);
@@ -94,6 +98,43 @@ TEST(ServePersistTest, CorruptSnapshotStartsColdWithoutCrashing) {
 TEST(ServePersistTest, MissingSnapshotStartsCold) {
   InferenceEngine engine(small_options(1, 4));
   EXPECT_EQ(engine.load_cache(temp_path("never_saved.rbpc")), 0u);
+  EXPECT_EQ(engine.stats().warm_rejected, 0u);
+}
+
+TEST(ServePersistTest, SnapshotOfAnotherModelStartsColdAndCounted) {
+  const std::string path = temp_path("warm_foreign_model.rbpc");
+  const std::string weights = temp_path("warm_foreign_model.bin");
+  InferenceEngine untrained(small_options(1, 4));
+  const std::vector<std::string> bits = untrained.bit_names("b03");
+  const auto pairs = all_pairs(bits);
+  (void)untrained.score_batch("b03", pairs);
+  untrained.save_cache(path);
+  {
+    // The same architecture with one weight changed: another model.
+    bert::BertPairClassifier model(
+        core::make_model_config(small_options(1, 4).experiment));
+    model.parameters().front()->value.data()[0] += 0.5f;
+    model.pack_weights();
+    model.save(weights);
+  }
+  EngineOptions options = small_options(1, 4);
+  options.model_path = weights;
+  InferenceEngine reference(options);
+  InferenceEngine restarted(options);
+  EXPECT_EQ(restarted.load_cache(path), 0u);
+  EXPECT_EQ(restarted.stats().warm_rejected, 1u);
+  EXPECT_EQ(restarted.score_batch("b03", pairs),
+            reference.score_batch("b03", pairs));
+  EXPECT_GT(restarted.stats().cache_misses, 0u);
+
+  ServeLoop loop(restarted);
+  bool quit = false;
+  const std::string response = loop.handle_line("stats", &quit);
+  EXPECT_NE(response.find(" warm_entries=0 warm_rejected=1 "),
+            std::string::npos)
+      << response;
+  std::remove(path.c_str());
+  std::remove(weights.c_str());
 }
 
 TEST(ServePersistTest, ServeLoopSnapshotsAtCadenceAndOnExit) {
@@ -218,7 +259,9 @@ TEST(ServePersistTest, StatsLineReportsWarmEntries) {
   bool quit = false;
   const std::string response = loop.handle_line("stats", &quit);
   EXPECT_TRUE(util::starts_with(response, "ok threads=")) << response;
-  EXPECT_NE(response.find(" warm_entries=1"), std::string::npos) << response;
+  EXPECT_NE(response.find(" warm_entries=1 warm_rejected=0 "),
+            std::string::npos)
+      << response;
   std::remove(path.c_str());
 }
 

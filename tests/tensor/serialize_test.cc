@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 
 #include "util/check.h"
@@ -156,6 +158,34 @@ TEST(SerializeTest, TruncatedFileRejected) {
   out.close();
   Parameter a2("w", Tensor({16, 16}));
   EXPECT_THROW(load_parameters({&a2}, path), util::CheckError);
+  std::remove(path.c_str());
+}
+
+TEST(SerializeTest, VersionOneCheckpointRejected) {
+  // RBTW v1 was the same body without the checksum trailer; this build
+  // reads version 2 only and says so.
+  util::Rng rng(9);
+  Parameter a("w", Tensor::randn({4}, rng));
+  const std::string path = temp_path("ckpt_v1.bin");
+  save_parameters({&a}, path);
+  std::ifstream in(path, std::ios::binary);
+  std::string contents((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+  in.close();
+  contents.resize(contents.size() - sizeof(std::uint64_t));
+  const std::uint32_t version = 1;
+  std::memcpy(&contents[4], &version, sizeof(version));
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(contents.data(), static_cast<std::streamsize>(contents.size()));
+  out.close();
+  Parameter a2("w", Tensor({4}));
+  try {
+    load_parameters({&a2}, path);
+    FAIL() << "expected CheckError";
+  } catch (const util::CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("version 1"), std::string::npos)
+        << e.what();
+  }
   std::remove(path.c_str());
 }
 

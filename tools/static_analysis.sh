@@ -386,7 +386,7 @@ fi
 
 # ---- 8. warm-start kill drill -----------------------------------------------
 # The O(1) warm-start acceptance drill: a supervised fleet snapshots each
-# backend's cache to its own RBPC v2 file after every request. One backend is primed, SIGKILLed, and
+# backend's cache to its own RBPC file after every request. One backend is primed, SIGKILLed, and
 # respawned by the supervisor — and its FIRST answer must already be warm:
 # stats polled before any score/recover reaches it have to show
 # warm_entries > 0 (the mmap tier attached at boot) with cache_misses = 0
@@ -537,8 +537,15 @@ if [ "$RUN_SHARDED" -eq 1 ]; then
       done
       [ "$WARMED" -eq 1 ] \
         || { echo "FAIL: secondary never became warm after the prime"; FO_ERRORS=$((FO_ERRORS + 1)); }
-      "$CLI" call --socket "$FSOCK" stats 2>/dev/null \
-        | grep -qE 'mirrored=[1-9]|replica_hits=[1-9]' \
+      # The router counts a mirror only after the secondary has replied,
+      # so a warm secondary can briefly precede the counter: poll it too.
+      MIRRORED=0
+      for _ in $(seq 1 60); do
+        if "$CLI" call --socket "$FSOCK" stats 2>/dev/null \
+            | grep -qE 'mirrored=[1-9]|replica_hits=[1-9]'; then MIRRORED=1; break; fi
+        sleep 0.5
+      done
+      [ "$MIRRORED" -eq 1 ] \
         || { echo "FAIL: neither mirror replay nor a replica hit warmed the secondary"; FO_ERRORS=$((FO_ERRORS + 1)); }
       MISSES_BEFORE=$("$CLI" call --socket "$FSOCK.$SECONDARY" stats 2>/dev/null \
         | grep -o 'cache_misses=[0-9]*' | cut -d= -f2)
