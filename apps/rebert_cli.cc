@@ -21,7 +21,7 @@
 //   rebert_cli lint        --in c.bench [--words truth] [--format text|csv]
 //                          [--out report.csv] [--fail-on-warn]
 //   rebert_cli serve       [--socket /tmp/rebert.sock] [--threads N]
-//                          [--batch 16] [--model model.bin]
+//                          [--model model.bin]
 //                          [--manifest models.manifest] [--scale 0.25]
 //                          [--cache-file cache.rbpc] [--snapshot-every 64]
 //                          [--max-inflight 0] [--max-inflight-per-bench 0]
@@ -33,8 +33,7 @@
 //                          [--backend-weights 1,2] [--vnodes 64]
 //                          [--replicas 2] [--mirror-queue-depth 256]
 //                          [--queue-depth 0] [--queue-timeout-ms 250]
-//                          [--probe-interval-ms 200]
-//                          [--restart-jitter-pct 15] + serve flags
+//                          [--probe-interval-ms 200] + serve flags
 //                          passed through to spawned backends
 //   rebert_cli call        --socket /tmp/router.sock [--retry] <request...>
 //   rebert_cli score       [--bench b07] [--pairs 200 | --bits a,b]
@@ -69,7 +68,6 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -99,6 +97,7 @@
 #include "serve/serve_loop.h"
 #include "structural/matching.h"
 #include "util/flags.h"
+#include "util/fnv1a.h"
 #include "util/rng.h"
 #include "util/string_utils.h"
 #include "util/timer.h"
@@ -148,7 +147,6 @@ core::ExperimentOptions experiment_options(const util::FlagParser& flags) {
 serve::EngineOptions engine_options(const util::FlagParser& flags) {
   serve::EngineOptions options;
   options.num_threads = flags.get_int("threads", 0);
-  options.batch_size = flags.get_int("batch", 16);
   options.suite_scale = flags.get_double("scale", 0.25);
   options.model_path = flags.get("model", "");
   options.manifest_path = flags.get("manifest", "");
@@ -506,10 +504,7 @@ int cmd_route(const util::FlagParser& flags) {
   std::vector<std::string> backend_sockets;
   std::vector<double> backend_weights;
   const std::string external = flags.get("backend-sockets", "");
-  router::SupervisorOptions supervisor_options;
-  supervisor_options.restart_jitter_pct =
-      flags.get_int("restart-jitter-pct", 15);
-  router::BackendSupervisor supervisor(supervisor_options);
+  router::BackendSupervisor supervisor;
   const bool supervised = external.empty();
   if (supervised) {
     const int count = std::max(1, flags.get_int("backends", 2));
@@ -530,7 +525,6 @@ int cmd_route(const util::FlagParser& flags) {
         }
       };
       pass("threads");
-      pass("batch");
       pass("scale");
       pass("model");
       pass("manifest");
@@ -731,16 +725,8 @@ int cmd_score(const util::FlagParser& flags) {
 
   // FNV-1a over the raw score bits: two runs scored the same workload
   // identically iff the checksums match.
-  std::uint64_t checksum = 14695981039346656037ULL;
-  for (double score : scores) {
-    std::uint64_t raw;
-    static_assert(sizeof(raw) == sizeof(score));
-    std::memcpy(&raw, &score, sizeof(raw));
-    for (int b = 0; b < 64; b += 8) {
-      checksum ^= (raw >> b) & 0xff;
-      checksum *= 1099511628211ULL;
-    }
-  }
+  const std::uint64_t checksum =
+      util::fnv1a(scores.data(), scores.size() * sizeof(double));
   if (!bits.empty())
     std::printf("score %s %s %s = %s\n", bench.c_str(),
                 pairs[0].first.c_str(), pairs[0].second.c_str(),
@@ -761,9 +747,16 @@ int cmd_score(const util::FlagParser& flags) {
               stats.cache_entries, warmed,
               static_cast<unsigned long long>(stats.warm_rejected));
   if (!cache_file.empty()) {
-    engine.save_cache(cache_file);
-    std::printf("cache           : saved %zu entries to %s\n",
-                stats.cache_entries, cache_file.c_str());
+    // An accepted snapshot that answered every lookup already holds
+    // exactly this cache: rewriting it would only cost I/O.
+    if (warmed > 0 && stats.cache_misses == 0) {
+      std::printf("cache           : snapshot %s unchanged\n",
+                  cache_file.c_str());
+    } else {
+      engine.save_cache(cache_file);
+      std::printf("cache           : saved %zu entries to %s\n",
+                  stats.cache_entries, cache_file.c_str());
+    }
   }
   return 0;
 }
@@ -800,8 +793,8 @@ constexpr Subcommand kSubcommands[] = {
      "[--fail-on-warn]",
      cmd_lint},
     {"serve",
-     "[--socket /tmp/rebert.sock] [--threads N] [--batch 16] "
-     "[--model model.bin] [--manifest models.manifest] [--scale 0.25] "
+     "[--socket /tmp/rebert.sock] [--threads N] [--model model.bin] "
+     "[--manifest models.manifest] [--scale 0.25] "
      "[--cache-file cache.rbpc] [--snapshot-every 64] [--max-inflight 0] "
      "[--max-inflight-per-bench 0] [--retry-after-ms 50] "
      "[--deadline-ms 0] [--max-connections 64] [--listen-backlog 0] "
@@ -811,9 +804,8 @@ constexpr Subcommand kSubcommands[] = {
      "--socket /tmp/router.sock [--backends 2 | --backend-sockets "
      "a[@w],b[@w]] [--backend-weights 1,2] [--replicas 2] "
      "[--mirror-queue-depth 256] [--queue-depth 0] [--queue-timeout-ms 250] "
-     "[--vnodes 64] [--probe-interval-ms 200] [--restart-jitter-pct 15] "
-     "[+ serve flags for spawned backends; --cache-file gives each backend "
-     "<file>.backendN]",
+     "[--vnodes 64] [--probe-interval-ms 200] [+ serve flags for spawned "
+     "backends; --cache-file gives each backend <file>.backendN]",
      cmd_route},
     {"call",
      "--socket /tmp/router.sock [--retry] <request tokens...>",

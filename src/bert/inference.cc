@@ -145,7 +145,7 @@ std::uint64_t BertPairClassifier::fingerprint() const {
                    "model fingerprint is stale: parameters were handed out "
                    "for mutation after the last pack_weights()");
   const char* backend = kernels::backend_name(kernels::active_backend());
-  return persist::fnv1a_update(packed_digest_, backend,
+  return util::fnv1a_update(packed_digest_, backend,
                                std::strlen(backend));
 }
 

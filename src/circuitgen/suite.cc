@@ -6,6 +6,7 @@
 #include "nl/decompose.h"
 #include "nl/lint.h"
 #include "util/check.h"
+#include "util/fnv1a.h"
 
 namespace rebert::gen {
 
@@ -26,16 +27,6 @@ constexpr SuiteEntry kSuite[] = {
     {"b12", 121, 15},  {"b13", 53, 10},   {"b14", 449, 30},
     {"b15", 245, 24},  {"b17", 1415, 98}, {"b18", 3320, 160},
 };
-
-std::uint64_t name_seed(const std::string& name) {
-  // Stable per-benchmark seed derived from the name.
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (char c : name) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
 
 }  // namespace
 
@@ -134,7 +125,7 @@ std::vector<CircuitSpec> itc99_suite_specs(double scale) {
         words, static_cast<int>(std::lround(entry.ffs * scale)));
     const int glue = std::max(8, ffs);
     specs.push_back(
-        make_spec(entry.name, ffs, words, glue, name_seed(entry.name)));
+        make_spec(entry.name, ffs, words, glue, util::fnv1a(entry.name)));
   }
   return specs;
 }

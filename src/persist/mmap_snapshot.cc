@@ -9,8 +9,6 @@ namespace rebert::persist {
 
 namespace {
 
-constexpr std::uint64_t kFnv1aPrime = 1099511628211ULL;
-
 struct __attribute__((__packed__)) Header {
   char magic[4];
   std::uint32_t version;
@@ -46,20 +44,6 @@ MmapSnapshot::OpenResult reject(std::string message) {
 
 }  // namespace
 
-std::uint64_t fnv1a(const void* data, std::size_t size) {
-  return fnv1a_update(kFnv1aInit, data, size);
-}
-
-std::uint64_t fnv1a_update(std::uint64_t state, const void* data,
-                           std::size_t size) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    state ^= bytes[i];
-    state *= kFnv1aPrime;
-  }
-  return state;
-}
-
 std::uint64_t fnv1a_words(const void* data, std::size_t size,
                           std::uint64_t state) {
   const auto* bytes = static_cast<const unsigned char*>(data);
@@ -68,9 +52,9 @@ std::uint64_t fnv1a_words(const void* data, std::size_t size,
     std::uint64_t word;
     std::memcpy(&word, bytes + i, sizeof(word));
     state ^= word;
-    state *= kFnv1aPrime;
+    state *= util::kFnv1aPrime;
   }
-  return fnv1a_update(state, bytes + whole, size - whole);
+  return util::fnv1a_update(state, bytes + whole, size - whole);
 }
 
 void save_snapshot(std::vector<CacheRecord> records, std::uint64_t fingerprint,

@@ -41,6 +41,7 @@
 #include <vector>
 
 #include "persist/mmap_file.h"
+#include "util/fnv1a.h"
 
 namespace rebert::persist {
 
@@ -53,25 +54,13 @@ inline constexpr std::uint32_t kSnapshotVersion = 3;
 inline constexpr std::size_t kSnapshotHeaderBytes = 40;
 inline constexpr std::size_t kSnapshotStride = 16;
 
-/// FNV-1a over `size` bytes — the checksum every persist artifact uses,
-/// exposed so the formats share one implementation and the tests can
-/// cross-check it.
-std::uint64_t fnv1a(const void* data, std::size_t size);
-
-/// Streaming form: fold `size` more bytes into a running FNV-1a state.
-/// Seed with kFnv1aInit; fnv1a(d, n) == fnv1a_update(kFnv1aInit, d, n).
-/// What writers too large to buffer (checkpoint saves) hash with.
-inline constexpr std::uint64_t kFnv1aInit = 14695981039346656037ULL;
-std::uint64_t fnv1a_update(std::uint64_t state, const void* data,
-                           std::size_t size);
-
-/// FNV-1a folded over 8-byte words instead of bytes, continuing from
-/// `state`. One multiply per word instead of eight makes validating a
-/// mapped artifact (or digesting a model's weights) ~8× cheaper than
-/// byte-wise FNV's serial multiply chain. A trailing partial word is
-/// folded byte-wise.
+/// FNV-1a (util/fnv1a.h) folded over 8-byte words instead of bytes,
+/// continuing from `state`. One multiply per word instead of eight makes
+/// validating a mapped artifact (or digesting a model's weights) ~8×
+/// cheaper than byte-wise FNV's serial multiply chain. A trailing partial
+/// word is folded byte-wise.
 std::uint64_t fnv1a_words(const void* data, std::size_t size,
-                          std::uint64_t state = kFnv1aInit);
+                          std::uint64_t state = util::kFnv1aInit);
 
 enum class SnapshotLoadStatus {
   kLoaded,   // snapshot mapped and validated

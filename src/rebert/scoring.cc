@@ -1,6 +1,7 @@
 #include "rebert/scoring.h"
 
 #include <algorithm>
+#include <atomic>
 #include <map>
 #include <numeric>
 #include <unordered_map>
@@ -131,6 +132,52 @@ std::vector<int> intern_classes(const std::vector<BitSequence>& bits) {
 
 }  // namespace
 
+std::int64_t score_pairs(std::span<const KeyedSequence> sequences,
+                         std::span<const std::pair<int, int>> pairs,
+                         const Tokenizer& tokenizer,
+                         const bert::BertPairClassifier& model,
+                         ShardedPredictionCache* cache,
+                         const ScoringOptions& options,
+                         std::span<double> out) {
+  REBERT_CHECK(out.size() == pairs.size());
+  runtime::ParallelForOptions schedule;
+  schedule.grain = std::max(1, options.grain);
+  schedule.cancel = options.cancel;
+
+  // Pair k writes only out[k]; the counter is touched once per forward.
+  std::atomic<std::int64_t> forwards{0};
+  const auto score_one = [&](std::int64_t k) {
+    const auto [i, j] = pairs[static_cast<std::size_t>(k)];
+    const KeyedSequence& a = sequences[static_cast<std::size_t>(i)];
+    const BitSequence& b = *sequences[static_cast<std::size_t>(j)].sequence;
+    double& score = out[static_cast<std::size_t>(k)];
+    std::uint64_t key = 0;
+    if (cache) {
+      key = hash_sequence(a.key_prefix, b);
+      if (cache->lookup(key, &score)) return;
+    }
+    score = model.predict_same_word_probability(
+        tokenizer.encode_pair(*a.sequence, b));
+    forwards.fetch_add(1, std::memory_order_relaxed);
+    if (cache) cache->insert(key, score);
+  };
+  const auto total = static_cast<std::int64_t>(pairs.size());
+  const int threads = options.num_threads == 1
+                          ? 1
+                          : runtime::resolve_thread_count(options.num_threads);
+  if (threads <= 1 && options.pool == nullptr) {
+    runtime::serial_for(0, total, score_one, schedule);
+  } else if (options.pool != nullptr) {
+    runtime::parallel_for(*options.pool, 0, total, score_one, schedule);
+  } else {
+    // The calling thread participates in parallel_for, so a transient pool
+    // needs one fewer worker to land on `threads` scoring threads total.
+    runtime::ThreadPool pool(std::max(1, threads - 1));
+    runtime::parallel_for(pool, 0, total, score_one, schedule);
+  }
+  return forwards.load(std::memory_order_relaxed);
+}
+
 ScoreMatrix score_all_pairs(const std::vector<BitSequence>& bits,
                             const Tokenizer& tokenizer,
                             const FilterOptions& filter,
@@ -147,14 +194,14 @@ ScoreMatrix score_all_pairs(const std::vector<BitSequence>& bits,
   const auto occurs = [&](int c, int d) {
     return matrix.members(c).front() < matrix.members(d).back();
   };
-  std::vector<std::uint64_t> prefix;  // per class: the first half of its keys
+  std::vector<KeyedSequence> keyed;  // per class: its first bit, keyed
   struct Bag {
     std::vector<int> classes;
     std::int64_t bits = 0;
   };
   std::map<std::vector<int>, Bag> bags;  // token_counts -> classes
   for (int c = 0; c < matrix.num_classes(); ++c) {
-    prefix.push_back(PredictionCache::key_prefix(sequence(c)));
+    keyed.push_back({&sequence(c), PredictionCache::key_prefix(sequence(c))});
     Bag& bag = bags[token_counts(sequence(c).token_ids)];
     bag.classes.push_back(c);
     bag.bits += static_cast<std::int64_t>(matrix.members(c).size());
@@ -180,39 +227,8 @@ ScoreMatrix score_all_pairs(const std::vector<BitSequence>& bits,
     }
   }
 
-  runtime::ParallelForOptions schedule;
-  schedule.grain = std::max(1, options.grain);
-  schedule.cancel = options.cancel;
-
-  // One lookup — and on a miss one forward — per candidate, from the
-  // classes' first bits; candidate k writes only scores[k].
   std::vector<double> scores(candidates.size());
-  const auto score_one = [&](std::int64_t k) {
-    const auto [c, d] = candidates[static_cast<std::size_t>(k)];
-    double& score = scores[static_cast<std::size_t>(k)];
-    std::uint64_t key = 0;
-    if (cache) {
-      key = hash_sequence(prefix[static_cast<std::size_t>(c)], sequence(d));
-      if (cache->lookup(key, &score)) return;
-    }
-    score = model.predict_same_word_probability(
-        tokenizer.encode_pair(sequence(c), sequence(d)));
-    if (cache) cache->insert(key, score);
-  };
-  const auto total = static_cast<std::int64_t>(candidates.size());
-  const int threads = options.num_threads == 1
-                          ? 1
-                          : runtime::resolve_thread_count(options.num_threads);
-  if (threads <= 1 && options.pool == nullptr) {
-    runtime::serial_for(0, total, score_one, schedule);
-  } else if (options.pool != nullptr) {
-    runtime::parallel_for(*options.pool, 0, total, score_one, schedule);
-  } else {
-    // The calling thread participates in parallel_for, so a transient pool
-    // needs one fewer worker to land on `threads` scoring threads total.
-    runtime::ThreadPool pool(std::max(1, threads - 1));
-    runtime::parallel_for(pool, 0, total, score_one, schedule);
-  }
+  score_pairs(keyed, candidates, tokenizer, model, cache, options, scores);
 
   matrix.scores_.reserve(candidates.size());
   for (std::size_t k = 0; k < candidates.size(); ++k)

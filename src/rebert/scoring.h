@@ -22,12 +22,13 @@
 
 namespace rebert::core {
 
-/// Scheduling knobs for score_all_pairs.
+/// Scheduling knobs for score_pairs and score_all_pairs.
 struct ScoringOptions {
   /// Worker threads; 1 = serial, 0 = resolve from REBERT_THREADS /
   /// hardware (runtime::resolve_thread_count).
   int num_threads = 1;
-  /// Candidate class pairs per scheduling chunk (see runtime/parallel_for.h).
+  /// Pairs per scheduling chunk (see runtime/parallel_for.h). A request
+  /// of at most `grain` pairs is one chunk and runs on the calling thread.
   int grain = 32;
   /// Reuse an existing pool (e.g. the serve engine's) instead of spinning
   /// up a transient one. When null and more than one thread is resolved, a
@@ -36,9 +37,36 @@ struct ScoringOptions {
   /// Cooperative cancellation / deadline token, polled between scheduling
   /// chunks (see runtime/parallel_for.h). When it fires mid-sweep the call
   /// throws runtime::CancelledError — how the serve engine bounds a
-  /// recover request to its deadline_ms.
+  /// request to its deadline_ms.
   runtime::CancellationToken* cancel = nullptr;
 };
+
+/// A sequence ready to lead or follow scored pairs: the sequence and its
+/// PredictionCache::key_prefix, hashed once however many pairs it leads.
+struct KeyedSequence {
+  const BitSequence* sequence = nullptr;
+  std::uint64_t key_prefix = 0;
+};
+
+/// The one pairwise scorer behind recover and score: for pair k = (a, b),
+/// out[k] = P(same word | sequences[a], sequences[b]). With a cache that is
+/// one lookup under PredictionCache::key_of, and on a miss one encode_pair
+/// + forward whose score is inserted; without one, always the forward.
+/// Pairs fan out in `options.grain` chunks: on `options.pool` when set,
+/// serially at one resolved thread, otherwise on a transient pool. Returns
+/// how many pairs were forwarded. Throws runtime::CancelledError when
+/// `options.cancel` fires between chunks, and rethrows the first failure
+/// of any forward once every started chunk settled.
+///
+/// Determinism: each pair is computed by exactly one body invocation that
+/// writes only out[k], the model is read-only, and cache hits are
+/// lossless, so scheduling cannot change a bit.
+std::int64_t score_pairs(std::span<const KeyedSequence> sequences,
+                         std::span<const std::pair<int, int>> pairs,
+                         const Tokenizer& tokenizer,
+                         const bert::BertPairClassifier& model,
+                         ShardedPredictionCache* cache,
+                         const ScoringOptions& options, std::span<double> out);
 
 class ScoreMatrix {
  public:
@@ -105,13 +133,11 @@ class ScoreMatrix {
 /// Score every candidate pair of `bits`: one lookup, and on a miss one
 /// forward, per ordered sequence-class pair that occurs (min c < max d;
 /// two members when c == d) inside a bag-class pair the filter passes.
-/// The class pairs fan out across worker threads.
+/// The class pairs are scored by score_pairs, from each class's first bit.
 ///
-/// Determinism: bit-identical at any thread count. Each candidate is
-/// computed by exactly one body invocation that writes only its own slot,
-/// the model is read-only, and cache hits are lossless, so scheduling
-/// cannot change a bit. Enforced by tests/runtime/scoring_parallel_test.cc
-/// against a bit-pair reference at 1, 2 and 8 threads.
+/// Determinism: bit-identical at any thread count (see score_pairs).
+/// Enforced by tests/runtime/scoring_parallel_test.cc against a bit-pair
+/// reference at 1, 2 and 8 threads.
 ScoreMatrix score_all_pairs(const std::vector<BitSequence>& bits,
                             const Tokenizer& tokenizer,
                             const FilterOptions& filter,

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "util/check.h"
+#include "util/fnv1a.h"
 
 namespace rebert::router {
 
@@ -12,11 +13,7 @@ HashRing::HashRing(int vnodes) : vnodes_(vnodes) {
 }
 
 std::uint64_t HashRing::hash(const std::string& text) {
-  std::uint64_t h = 14695981039346656037ULL;  // FNV-1a over the bytes...
-  for (unsigned char c : text) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
+  std::uint64_t h = util::fnv1a(text);  // FNV-1a over the bytes...
   // ...then a full-avalanche finalizer (murmur3 fmix64). Raw FNV-1a barely
   // mixes the trailing bytes of short keys — bench names like "b03".."b13"
   // land within ~2e-6 of each other on the ring and a 2-backend ring then

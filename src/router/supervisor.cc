@@ -11,9 +11,21 @@
 
 #include "util/backoff.h"
 #include "util/check.h"
+#include "util/fnv1a.h"
 #include "util/logging.h"
 
 namespace rebert::router {
+
+namespace {
+
+/// Deterministic seeded jitter stretching each respawn delay by up to this
+/// percentage (util/backoff.h). Several workers dying together — a kill
+/// drill, an OOM sweep — then respawn staggered instead of slamming
+/// fork/exec and the router's prober in one wave. Jitter only adds delay,
+/// so "not before the backoff" stays true.
+constexpr int kRestartJitterPct = 15;
+
+}  // namespace
 
 BackendSupervisor::BackendSupervisor(SupervisorOptions options)
     : options_(options) {}
@@ -97,10 +109,9 @@ int BackendSupervisor::poll_once() {
         // Seeded per (worker, failure-streak): simultaneous deaths respawn
         // staggered, yet every run replays the same stagger.
         backoff = util::apply_backoff_jitter(
-            static_cast<int>(backoff),
-            util::fnv1a64(worker.name.data(), worker.name.size()),
+            static_cast<int>(backoff), util::fnv1a(worker.name),
             static_cast<std::uint64_t>(worker.consecutive_failures),
-            options_.restart_jitter_pct);
+            kRestartJitterPct);
         worker.respawn_after =
             now + std::chrono::milliseconds(backoff);
         LOG_WARN << "supervisor: worker " << worker.name << " (pid "

@@ -34,13 +34,6 @@ struct SupervisorOptions {
   int max_backoff_ms = 5000;
   /// Uptime after which a worker's consecutive-failure streak resets.
   int healthy_uptime_ms = 3000;
-  /// Deterministic seeded jitter stretching each respawn delay by up to
-  /// this percentage (util/backoff.h, seeded by worker name + failure
-  /// count). Several workers dying together — a kill drill, an OOM sweep
-  /// — then respawn staggered instead of slamming fork/exec and the
-  /// router's prober in one wave. Jitter only adds delay, so "not before
-  /// the backoff" stays true; 0 disables it.
-  int restart_jitter_pct = 15;
 };
 
 class BackendSupervisor {

@@ -68,8 +68,8 @@ class Latch {
 /// set_deadline_after_ms(n) makes requested() start returning true once n
 /// milliseconds of wall-clock have elapsed. This is how the serving layer
 /// enforces per-request deadline_ms through the same polling points the
-/// cancellation path already has — micro-batches and parallel_for chunks
-/// stop between units of work, never mid-forward.
+/// cancellation path already has — parallel_for stops between chunks,
+/// never mid-forward.
 class CancellationToken {
  public:
   void request_stop() { stop_.store(true, std::memory_order_release); }

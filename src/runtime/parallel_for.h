@@ -6,7 +6,7 @@
 // Because every index is processed exactly once by a body that may only
 // write state owned by that index, the results are bit-identical at any
 // thread count — the scheduling order varies, the output cannot. That is
-// the determinism guarantee score_all_pairs and the structural matcher
+// the determinism guarantee score_pairs and the structural matcher
 // build on (and tests/runtime/parallel_for_test.cc enforces).
 //
 // The caller participates in chunk processing and, while waiting for

@@ -16,6 +16,7 @@
 #include "serve/protocol.h"
 #include "util/backoff.h"
 #include "util/check.h"
+#include "util/fnv1a.h"
 #include "util/retry_eintr.h"
 #include "util/string_utils.h"
 
@@ -38,7 +39,7 @@ Client::Client(std::string socket_path, ClientOptions options)
   jitter_seed_ =
       options_.backoff_seed != 0
           ? options_.backoff_seed
-          : util::fnv1a64(path_.data(), path_.size()) ^
+          : util::fnv1a(path_) ^
                 util::splitmix64(next_client_ordinal());
 }
 

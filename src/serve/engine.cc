@@ -1,8 +1,6 @@
 #include "serve/engine.h"
 
 #include <algorithm>
-#include <chrono>
-#include <future>
 
 #include "circuitgen/suite.h"
 #include "kernels/backend.h"
@@ -46,12 +44,8 @@ InferenceEngine::InferenceEngine(EngineOptions options)
       tokenizer_(options_.experiment.pipeline.tokenizer),
       pool_(std::max(
           1, runtime::resolve_thread_count(options_.num_threads) - 1)),
-      cache_(options_.cache_shards),
       registry_(manifest_for(options_),
-                core::make_model_config(options_.experiment), &cache_,
-                options_.cache_shards) {
-  REBERT_CHECK_MSG(options_.batch_size >= 1,
-                   "serve batch size must be at least 1");
+                core::make_model_config(options_.experiment), &cache_) {
   if (options_.manifest_path.empty() && options_.model_path.empty()) {
     LOG_WARN << "serve: no --model given; using untrained weights "
                 "(scores exercise the runtime, not the paper's accuracy)";
@@ -85,6 +79,9 @@ const InferenceEngine::BenchContext& InferenceEngine::bench(
   context->sequences = tokenizer_.tokenize_bits(netlist);
   for (int i = 0; i < static_cast<int>(context->bits.size()); ++i)
     context->index_of[context->bits[static_cast<std::size_t>(i)].name] = i;
+  for (const core::BitSequence& sequence : context->sequences)
+    context->keyed.push_back(
+        {&sequence, core::PredictionCache::key_prefix(sequence)});
   // The netlist outlives tokenization so a model-path failure can still
   // answer recover via the structural baseline (no model involved).
   context->netlist = std::move(netlist);
@@ -101,6 +98,12 @@ int InferenceEngine::bit_index(const BenchContext& context,
   REBERT_CHECK_MSG(it != context.index_of.end(),
                    "bench '" + bench + "' has no bit named '" + bit + "'");
   return it->second;
+}
+
+void InferenceEngine::set_model_health(ModelRegistry::Entry& entry,
+                                       bool healthy) {
+  model_healthy_.store(healthy, std::memory_order_relaxed);
+  entry.healthy.store(healthy, std::memory_order_relaxed);
 }
 
 void InferenceEngine::Admission::release() {
@@ -179,96 +182,39 @@ std::vector<double> InferenceEngine::score_batch(
                                       "' is unhealthy (checkpoint failed "
                                       "to load)");
   entry.requests.fetch_add(bit_pairs.size(), std::memory_order_relaxed);
-  core::ShardedPredictionCache& cache = *entry.cache;
-  const bool use_cache = options_.experiment.pipeline.use_prediction_cache;
 
-  std::vector<double> scores(bit_pairs.size(), 0.0);
+  // Unknown names are request errors too: resolve them all before scoring.
+  std::vector<std::pair<int, int>> pairs;
+  pairs.reserve(bit_pairs.size());
+  for (const auto& [a, b] : bit_pairs)
+    pairs.emplace_back(bit_index(context, bench_name, a),
+                       bit_index(context, bench_name, b));
 
-  // Pass 1 (inline): resolve names, answer cache hits, and encode misses.
-  struct Miss {
-    std::size_t slot;       // index into `scores`
-    std::uint64_t key;
-    bert::EncodedSequence encoded;
-  };
-  std::vector<Miss> misses;
-  for (std::size_t p = 0; p < bit_pairs.size(); ++p) {
-    const int i = bit_index(context, bench_name, bit_pairs[p].first);
-    const int j = bit_index(context, bench_name, bit_pairs[p].second);
-    const core::BitSequence& a =
-        context.sequences[static_cast<std::size_t>(i)];
-    const core::BitSequence& b =
-        context.sequences[static_cast<std::size_t>(j)];
-    const std::uint64_t key = core::PredictionCache::key_of(a, b);
-    double cached = 0.0;
-    if (use_cache && cache.lookup(key, &cached)) {
-      scores[p] = cached;
-      continue;
-    }
-    misses.push_back({p, key, tokenizer_.encode_pair(a, b)});
+  core::ScoringOptions scoring;
+  scoring.pool = &pool_;
+  scoring.cancel = cancel;
+  std::vector<double> scores(bit_pairs.size());
+  std::int64_t forwards = 0;
+  try {
+    forwards = core::score_pairs(
+        context.keyed, pairs, tokenizer_, *entry.model,
+        options_.experiment.pipeline.use_prediction_cache ? entry.cache
+                                                          : nullptr,
+        scoring, scores);
+  } catch (const runtime::CancelledError&) {
+    deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
+    throw;
+  } catch (...) {
+    set_model_health(entry, false);  // the encode or forward failed
+    throw;
   }
-
-  // Pass 2 (pool): forward the misses in fixed-size micro-batches. Each
-  // task owns a disjoint [begin, end) span of `misses`, so the score
-  // writes never alias. The deadline token is polled between batches only
-  // — a started forward always finishes.
-  const std::size_t batch = static_cast<std::size_t>(options_.batch_size);
-  std::vector<std::future<void>> futures;
-  std::exception_ptr failure;
-  for (std::size_t begin = 0; begin < misses.size(); begin += batch) {
-    if (cancel != nullptr && cancel->requested()) break;  // stop issuing
-    const std::size_t end = std::min(begin + batch, misses.size());
-    auto forward_batch = [&entry, &cache, &misses, &scores, begin, end,
-                          cancel, use_cache] {
-      if (cancel != nullptr && cancel->requested()) return;
-      for (std::size_t m = begin; m < end; ++m) {
-        const double p =
-            entry.model->predict_same_word_probability(misses[m].encoded);
-        scores[misses[m].slot] = p;
-        if (use_cache) cache.insert(misses[m].key, p);
-      }
-    };
-    try {
-      futures.push_back(pool_.submit(forward_batch));
-    } catch (...) {
-      // Enqueue failure (injected pool.submit fault, allocation pressure,
-      // a saturated bounded queue in a future backend): run the batch on
-      // this thread — slower, never lost. A failing forward still must not
-      // escape before submitted batches settle, so park its exception.
-      try {
-        forward_batch();
-      } catch (...) {
-        if (!failure) failure = std::current_exception();
-      }
-    }
-  }
-  // Help drain while waiting so a busy pool cannot starve this request.
-  // Every future must settle before returning (tasks reference locals);
-  // only then may cancellation or a task failure surface.
-  for (std::future<void>& future : futures) {
-    while (future.wait_for(std::chrono::seconds(0)) !=
-           std::future_status::ready) {
-      if (!pool_.try_run_one())
-        future.wait_for(std::chrono::milliseconds(1));
-    }
-    try {
-      future.get();
-    } catch (...) {
-      if (!failure) failure = std::current_exception();
-    }
-  }
+  // A started forward always finishes; a deadline that fired during the
+  // last one still fails the request instead of answering late.
   if (cancel != nullptr && cancel->requested()) {
     deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
     throw runtime::CancelledError();
   }
-  if (failure) {
-    model_healthy_.store(false, std::memory_order_relaxed);
-    entry.healthy.store(false, std::memory_order_relaxed);
-    std::rethrow_exception(failure);
-  }
-  if (!misses.empty()) {
-    model_healthy_.store(true, std::memory_order_relaxed);
-    entry.healthy.store(true, std::memory_order_relaxed);
-  }
+  if (forwards > 0) set_model_health(entry, true);
   return scores;
 }
 
@@ -308,8 +254,7 @@ RecoverSummary InferenceEngine::recover(const std::string& bench_name,
           pipeline.use_prediction_cache ? entry.cache : nullptr, scoring);
       labels = core::group_words(matrix, pipeline.grouping);
       summary.filtered_fraction = matrix.filtered_fraction();
-      model_healthy_.store(true, std::memory_order_relaxed);
-      entry.healthy.store(true, std::memory_order_relaxed);
+      set_model_health(entry, true);
     } catch (const runtime::CancelledError&) {
       deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
       throw;
@@ -317,8 +262,7 @@ RecoverSummary InferenceEngine::recover(const std::string& bench_name,
       // Model-path failure (injected forward fault, NaN tripwire, broken
       // checkpoint arithmetic): degrade to the structural matching baseline
       // — no model involved — instead of failing the request.
-      model_healthy_.store(false, std::memory_order_relaxed);
-      entry.healthy.store(false, std::memory_order_relaxed);
+      set_model_health(entry, false);
       degraded_recoveries_.fetch_add(1, std::memory_order_relaxed);
       LOG_WARN << "serve: recover(" << bench_name << ") model path failed ("
                << e.what() << "); answering via the structural baseline";
@@ -348,7 +292,6 @@ RecoverSummary InferenceEngine::recover(const std::string& bench_name,
 EngineStats InferenceEngine::stats() const {
   EngineStats stats;
   stats.threads = pool_.size() + 1;
-  stats.batch_size = options_.batch_size;
   stats.cache_shards = cache_.num_shards();
   stats.score_requests = score_requests_.load(std::memory_order_relaxed);
   stats.recover_requests =

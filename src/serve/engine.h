@@ -6,9 +6,11 @@
 // PredictionCache shared by all requests to the default model (non-default
 // registry entries carry private caches — see model_registry.h), and a
 // lazily-populated registry of benchmark contexts (tokenized bit
-// universes). score requests are micro-batched into fixed-size forward
-// batches and fanned out across the pool; recover requests reuse the pool
-// through core::score_all_pairs.
+// universes). score and recover ask the model through one routine,
+// core::score_pairs: score hands it the request's bit pairs, recover
+// (through core::score_all_pairs) the candidate class pairs. It scores
+// pairs in fixed-size chunks on the engine pool with the request thread
+// taking part, so a small score request runs on the request thread alone.
 //
 // Thread safety: every public method may be called from any number of
 // threads concurrently (one per connection in the socket server). The
@@ -24,7 +26,7 @@
 //     hot bench cannot monopolize the whole budget.
 //   * Deadlines — score/recover take an optional CancellationToken; arm it
 //     with set_deadline_after_ms and the work stops cooperatively between
-//     micro-batches / parallel_for chunks, surfacing runtime::CancelledError.
+//     scoring chunks, surfacing runtime::CancelledError.
 //   * Graceful degradation — when the model path fails (injected fault,
 //     NaN tripwire, bad checkpoint) recover() falls back to the structural
 //     matching baseline (Meade et al., ISCAS'16), which needs no model, and
@@ -44,6 +46,7 @@
 #include "nl/words.h"
 #include "rebert/pipeline.h"
 #include "rebert/prediction_cache.h"
+#include "rebert/scoring.h"
 #include "rebert/tokenizer.h"
 #include "runtime/latch.h"
 #include "runtime/thread_pool.h"
@@ -56,12 +59,6 @@ namespace rebert::serve {
 struct EngineOptions {
   /// Worker threads in the engine pool: 0 = REBERT_THREADS / hardware.
   int num_threads = 0;
-  /// Pair sequences per forward micro-batch. Requests smaller than this
-  /// run as one batch; larger ones split into ceil(n / batch_size) pool
-  /// tasks.
-  int batch_size = 16;
-  /// Shards of the prediction cache (0 = default; see prediction_cache.h).
-  int cache_shards = 0;
   /// circuitgen scale for generated benchmark names ("b03".."b18").
   double suite_scale = 0.25;
   /// Weight file produced by `rebert_cli train --save`. Empty = fresh
@@ -91,7 +88,6 @@ struct EngineOptions {
 
 struct EngineStats {
   int threads = 0;
-  int batch_size = 0;
   int cache_shards = 0;
   std::uint64_t score_requests = 0;
   std::uint64_t recover_requests = 0;
@@ -202,10 +198,11 @@ class InferenceEngine {
                runtime::CancellationToken* cancel = nullptr,
                const std::string& model = "");
 
-  /// Batched form: scores every (bitA, bitB) name pair against one bench.
-  /// Cache hits are answered inline; misses are encoded and fanned out to
-  /// the pool in `batch_size` groups. Result order matches input order.
-  /// `cancel` is polled between micro-batches, never mid-forward.
+  /// Batched form: scores every (bitA, bitB) name pair against one bench
+  /// through core::score_pairs. Result order matches input order. `cancel`
+  /// is polled between scoring chunks, never mid-forward, and once more
+  /// before returning. A failed encode or forward marks the model
+  /// unhealthy; a request that forwarded marks it healthy again.
   std::vector<double> score_batch(
       const std::string& bench,
       const std::vector<std::pair<std::string, std::string>>& bit_pairs,
@@ -266,6 +263,7 @@ class InferenceEngine {
     std::vector<nl::Bit> bits;
     std::vector<core::BitSequence> sequences;
     std::map<std::string, int> index_of;  // bit name -> sequence index
+    std::vector<core::KeyedSequence> keyed;  // per bit: into `sequences`
   };
 
   /// Resolve a bench name to its context, loading it on first use.
@@ -279,6 +277,10 @@ class InferenceEngine {
 
   void release_bench_slot(const std::string& bench)
       EXCLUDES(bench_slots_mu_);
+
+  /// Record the outcome of a model-path attempt on the engine gauge and
+  /// on `entry`.
+  void set_model_health(ModelRegistry::Entry& entry, bool healthy);
 
   EngineOptions options_;
   core::Tokenizer tokenizer_;

@@ -84,8 +84,7 @@ ModelManifest parse_model_manifest(const std::string& path) {
 
 ModelRegistry::ModelRegistry(const ModelManifest& manifest,
                              const bert::BertConfig& config,
-                             core::ShardedPredictionCache* default_cache,
-                             int cache_shards) {
+                             core::ShardedPredictionCache* default_cache) {
   for (std::size_t i = 0; i < manifest.models.size(); ++i) {
     const ModelSpec& spec = manifest.models[i];
     auto entry = std::make_unique<Entry>();
@@ -109,8 +108,7 @@ ModelRegistry::ModelRegistry(const ModelManifest& manifest,
       default_index_ = entries_.size();
       entry->cache = default_cache;
     } else {
-      entry->owned_cache =
-          std::make_unique<core::ShardedPredictionCache>(cache_shards);
+      entry->owned_cache = std::make_unique<core::ShardedPredictionCache>();
       entry->cache = entry->owned_cache.get();
     }
     // Bound before any warm start, so a snapshot of another model or

@@ -91,10 +91,9 @@ class ModelRegistry {
   /// `config` (a manifest mixing architectures would need per-entry
   /// configs; checkpoints of the wrong shape fail to load and mark the
   /// entry unhealthy instead). The default entry's cache is
-  /// `default_cache`; every other entry gets its own with `cache_shards`
-  /// shards.
+  /// `default_cache`; every other entry gets its own.
   ModelRegistry(const ModelManifest& manifest, const bert::BertConfig& config,
-                core::ShardedPredictionCache* default_cache, int cache_shards);
+                core::ShardedPredictionCache* default_cache);
 
   ModelRegistry(const ModelRegistry&) = delete;
   ModelRegistry& operator=(const ModelRegistry&) = delete;

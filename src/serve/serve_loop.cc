@@ -17,8 +17,7 @@ namespace {
 
 std::string format_stats(const EngineStats& stats) {
   std::ostringstream out;
-  out << "threads=" << stats.threads << " batch=" << stats.batch_size
-      << " shards=" << stats.cache_shards
+  out << "threads=" << stats.threads << " shards=" << stats.cache_shards
       << " score_requests=" << stats.score_requests
       << " recover_requests=" << stats.recover_requests
       << " cache_hits=" << stats.cache_hits

@@ -28,14 +28,14 @@ class ChecksummedWriter {
   void bytes(const void* data, std::size_t size) {
     out_.write(static_cast<const char*>(data),
                static_cast<std::streamsize>(size));
-    sum_ = persist::fnv1a_update(sum_, data, size);
+    sum_ = util::fnv1a_update(sum_, data, size);
   }
   void u32(std::uint32_t v) { bytes(&v, sizeof(v)); }
   std::uint64_t checksum() const { return sum_; }
 
  private:
   std::ostream& out_;
-  std::uint64_t sum_ = persist::kFnv1aInit;
+  std::uint64_t sum_ = util::kFnv1aInit;
 };
 
 /// Checkpoint reads off a validated mapping, with located failures: every
@@ -137,7 +137,7 @@ void load_parameters(const std::vector<Parameter*>& params,
   std::memcpy(&expected, file.bytes(body_end, sizeof(expected)),
               sizeof(expected));
   const std::uint64_t actual =
-      persist::fnv1a(file.bytes(kPrefixBytes, body_end - kPrefixBytes),
+      util::fnv1a(file.bytes(kPrefixBytes, body_end - kPrefixBytes),
                      body_end - kPrefixBytes);
   REBERT_CHECK_MSG(actual == expected,
                    "corrupt checkpoint "

@@ -29,17 +29,6 @@ inline std::uint64_t splitmix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-/// FNV-1a over a byte string — the seed derivation used when a waiter is
-/// identified by a name (socket path, worker name) rather than a number.
-inline std::uint64_t fnv1a64(const char* data, std::uint64_t len) {
-  std::uint64_t h = 14695981039346656037ULL;
-  for (std::uint64_t i = 0; i < len; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 /// `backoff_ms` stretched by a deterministic jitter in
 /// [0, backoff_ms * jitter_pct / 100], chosen by (seed, sequence).
 /// jitter_pct <= 0 (or a zero base) returns backoff_ms unchanged, so the

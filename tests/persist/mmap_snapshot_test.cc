@@ -210,7 +210,7 @@ TEST_F(MmapSnapshotTest, WarmStartRejectsV1StreamFile) {
     body.append(reinterpret_cast<const char*>(&record.second), 8);
   }
   const std::uint32_t version = 1;
-  const std::uint64_t checksum = fnv1a(body.data(), body.size());
+  const std::uint64_t checksum = util::fnv1a(body.data(), body.size());
   spit(path_, std::string(kSnapshotMagic, sizeof(kSnapshotMagic)) +
                   std::string(reinterpret_cast<const char*>(&version),
                               sizeof(version)) +

@@ -34,7 +34,6 @@ using serve::ServeLoop;
 EngineOptions small_options() {
   EngineOptions options;
   options.num_threads = 2;
-  options.batch_size = 4;
   options.suite_scale = 0.25;
   options.experiment.pipeline.tokenizer.backtrace_depth = 4;
   options.experiment.pipeline.tokenizer.tree_code_dim = 8;

@@ -38,7 +38,6 @@ namespace {
 EngineOptions small_options() {
   EngineOptions options;
   options.num_threads = 2;
-  options.batch_size = 4;
   options.suite_scale = 0.25;
   options.experiment.pipeline.tokenizer.backtrace_depth = 4;
   options.experiment.pipeline.tokenizer.tree_code_dim = 8;
@@ -651,6 +650,9 @@ TEST_F(ChaosTest, TokenizerEncodeFaultFailsScoreButRecoverDegrades) {
   const std::string score =
       loop.handle_line("score b03 " + bits[0] + " " + bits[1], &quit);
   EXPECT_TRUE(util::starts_with(score, "err ")) << score;
+  // The failed encode is a model-path failure, as it is for recover.
+  EXPECT_NE(loop.handle_line("health", &quit).find("status=degraded"),
+            std::string::npos);
   const std::string recover = loop.handle_line("recover b03", &quit);
   EXPECT_TRUE(util::starts_with(recover, "ok words=")) << recover;
   EXPECT_NE(recover.find("degraded=structural"), std::string::npos)
@@ -660,6 +662,8 @@ TEST_F(ChaosTest, TokenizerEncodeFaultFailsScoreButRecoverDegrades) {
   EXPECT_TRUE(util::starts_with(
       loop.handle_line("score b03 " + bits[0] + " " + bits[1], &quit),
       "ok "));
+  EXPECT_NE(loop.handle_line("health", &quit).find("status=ready"),
+            std::string::npos);
 }
 
 TEST_F(ChaosTest, PerBenchBudgetShedsOneBenchNotTheFleet) {

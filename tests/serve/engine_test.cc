@@ -1,5 +1,5 @@
-// InferenceEngine + ServeLoop behaviour: micro-batched scoring, the shared
-// cache, concurrent request safety, and the stdio transport.
+// InferenceEngine + ServeLoop behaviour: batched scoring, the cache score
+// shares with recover, concurrent request safety, and the stdio transport.
 #include "serve/engine.h"
 
 #include <gtest/gtest.h>
@@ -11,6 +11,9 @@
 #include <utility>
 #include <vector>
 
+#include "bert/model.h"
+#include "circuitgen/suite.h"
+#include "rebert/scoring.h"
 #include "serve/serve_loop.h"
 #include "util/check.h"
 #include "util/string_utils.h"
@@ -18,10 +21,9 @@
 namespace rebert::serve {
 namespace {
 
-EngineOptions small_options(int threads, int batch) {
+EngineOptions small_options(int threads) {
   EngineOptions options;
   options.num_threads = threads;
-  options.batch_size = batch;
   options.suite_scale = 0.25;
   options.experiment.pipeline.tokenizer.backtrace_depth = 4;
   options.experiment.pipeline.tokenizer.tree_code_dim = 8;
@@ -33,7 +35,7 @@ EngineOptions small_options(int threads, int batch) {
 }
 
 TEST(InferenceEngineTest, ScoreIsAProbabilityAndCacheable) {
-  InferenceEngine engine(small_options(2, 4));
+  InferenceEngine engine(small_options(2));
   const std::vector<std::string> bits = engine.bit_names("b03");
   ASSERT_GE(bits.size(), 2u);
 
@@ -49,27 +51,63 @@ TEST(InferenceEngineTest, ScoreIsAProbabilityAndCacheable) {
 }
 
 TEST(InferenceEngineTest, BatchMatchesIndividualScores) {
-  InferenceEngine engine(small_options(2, 2));  // force several batches
-  const std::vector<std::string> bits = engine.bit_names("b03");
-  ASSERT_GE(bits.size(), 3u);
-
+  InferenceEngine engine(small_options(2));
+  const std::vector<std::string> bits = engine.bit_names("b04");
   std::vector<std::pair<std::string, std::string>> pairs;
   for (std::size_t i = 0; i < bits.size(); ++i)
     for (std::size_t j = 0; j < bits.size(); ++j)
       pairs.emplace_back(bits[i], bits[j]);
-  const std::vector<double> batched = engine.score_batch("b03", pairs);
+  // Several scheduling chunks, so the pool and the request thread share
+  // the batch.
+  ASSERT_GT(pairs.size(), 4u * core::ScoringOptions{}.grain);
+  const std::vector<double> batched = engine.score_batch("b04", pairs);
   ASSERT_EQ(batched.size(), pairs.size());
 
-  InferenceEngine reference(small_options(1, 1));
+  InferenceEngine reference(small_options(1));
   for (std::size_t p = 0; p < pairs.size(); ++p) {
     EXPECT_EQ(batched[p],
-              reference.score("b03", pairs[p].first, pairs[p].second))
+              reference.score("b04", pairs[p].first, pairs[p].second))
         << pairs[p].first << " / " << pairs[p].second;
   }
 }
 
+TEST(InferenceEngineTest, ScoreAnswersRecoversPairsFromItsCache) {
+  // recover and score share one scoring routine and one key: after a
+  // recover, scoring any bit pair it scored is a cache hit with its score.
+  const EngineOptions options = small_options(2);
+  InferenceEngine engine(options);
+  const std::vector<std::string> bits = engine.bit_names("b03");
+  engine.recover("b03");
+
+  // The matrix recover computed, rebuilt from the same bits and weights.
+  const nl::Netlist netlist =
+      gen::generate_benchmark("b03", options.suite_scale).netlist;
+  const core::PipelineOptions& pipeline = options.experiment.pipeline;
+  const core::Tokenizer tokenizer(pipeline.tokenizer);
+  const bert::BertPairClassifier model(
+      core::make_model_config(options.experiment));
+  const core::ScoreMatrix matrix = core::score_all_pairs(
+      tokenizer.tokenize_bits(netlist), tokenizer, pipeline.filter, model);
+  ASSERT_EQ(matrix.size(), static_cast<int>(bits.size()));
+
+  const std::uint64_t misses = engine.stats().cache_misses;
+  int scored = 0;
+  for (int i = 0; i < matrix.size(); ++i)
+    for (int j = i + 1; j < matrix.size(); ++j) {
+      const double expected = matrix.at(i, j);
+      if (expected == core::ScoreMatrix::kFiltered) continue;
+      ++scored;
+      EXPECT_EQ(engine.score("b03", bits[static_cast<std::size_t>(i)],
+                             bits[static_cast<std::size_t>(j)]),
+                expected)
+          << i << " / " << j;
+    }
+  EXPECT_GT(scored, 0);
+  EXPECT_EQ(engine.stats().cache_misses, misses);
+}
+
 TEST(InferenceEngineTest, UnknownBenchAndBitThrow) {
-  InferenceEngine engine(small_options(1, 4));
+  InferenceEngine engine(small_options(1));
   EXPECT_THROW(engine.score("no_such_bench_or_file", "a", "b"),
                std::exception);
   const std::vector<std::string> bits = engine.bit_names("b03");
@@ -78,7 +116,7 @@ TEST(InferenceEngineTest, UnknownBenchAndBitThrow) {
 }
 
 TEST(InferenceEngineTest, RecoverReportsPlausibleSummary) {
-  InferenceEngine engine(small_options(2, 4));
+  InferenceEngine engine(small_options(2));
   const RecoverSummary summary = engine.recover("b03");
   EXPECT_GT(summary.num_bits, 0);
   EXPECT_GT(summary.num_words, 0);
@@ -89,12 +127,12 @@ TEST(InferenceEngineTest, RecoverReportsPlausibleSummary) {
 TEST(InferenceEngineTest, ConcurrentScoresAgreeWithSerialReference) {
   // The headline thread-safety property: many client threads hammering one
   // engine get exactly the scores a serial engine computes.
-  InferenceEngine engine(small_options(4, 4));
+  InferenceEngine engine(small_options(4));
   const std::vector<std::string> bits = engine.bit_names("b03");
   const std::size_t n = bits.size();
   ASSERT_GE(n, 2u);
 
-  InferenceEngine reference(small_options(1, 1));
+  InferenceEngine reference(small_options(1));
   std::vector<double> expected(n * n);
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = 0; j < n; ++j)
@@ -118,7 +156,7 @@ TEST(InferenceEngineTest, ConcurrentScoresAgreeWithSerialReference) {
 }
 
 TEST(ServeLoopTest, StdioSessionAnswersInOrder) {
-  InferenceEngine engine(small_options(2, 4));
+  InferenceEngine engine(small_options(2));
   ServeLoop loop(engine);
   const std::vector<std::string> bits = engine.bit_names("b03");
 
@@ -143,7 +181,7 @@ TEST(ServeLoopTest, StdioSessionAnswersInOrder) {
 }
 
 TEST(ServeLoopTest, EngineErrorsBecomeErrResponses) {
-  InferenceEngine engine(small_options(1, 4));
+  InferenceEngine engine(small_options(1));
   ServeLoop loop(engine);
   bool quit = false;
   const std::string response =

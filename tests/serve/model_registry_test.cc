@@ -92,7 +92,7 @@ TEST(ModelRegistryTest, SizeRulePicksSmallestCoveringBound) {
                      {"big", "-", 0}};
   manifest.default_model = "big";
   core::ShardedPredictionCache cache(4);
-  ModelRegistry registry(manifest, tiny_config(), &cache, 4);
+  ModelRegistry registry(manifest, tiny_config(), &cache);
   EXPECT_EQ(registry.size(), 3u);
   EXPECT_EQ(registry.unhealthy_count(), 0);
 
@@ -111,7 +111,7 @@ TEST(ModelRegistryTest, CacheOwnershipSeparatesModels) {
   manifest.models = {{"a", "-", 0}, {"b", "-", 0}};
   manifest.default_model = "a";
   core::ShardedPredictionCache shared(4);
-  ModelRegistry registry(manifest, tiny_config(), &shared, 4);
+  ModelRegistry registry(manifest, tiny_config(), &shared);
   ModelRegistry::Entry* a = registry.find("a");
   ModelRegistry::Entry* b = registry.find("b");
   ASSERT_NE(a, nullptr);
@@ -132,7 +132,7 @@ TEST(ModelRegistryTest, UnloadableCheckpointIsKeptButUnhealthy) {
   manifest.models = {{"good", "-", 0}, {"bad", bogus, 0}};
   manifest.default_model = "good";
   core::ShardedPredictionCache cache(4);
-  ModelRegistry registry(manifest, tiny_config(), &cache, 4);
+  ModelRegistry registry(manifest, tiny_config(), &cache);
   ModelRegistry::Entry* bad = registry.find("bad");
   ASSERT_NE(bad, nullptr);
   EXPECT_FALSE(bad->load_ok);
@@ -150,7 +150,6 @@ TEST(ModelRegistryTest, UnloadableCheckpointIsKeptButUnhealthy) {
 EngineOptions engine_options_with_manifest(const std::string& manifest) {
   EngineOptions options;
   options.num_threads = 2;
-  options.batch_size = 4;
   options.suite_scale = 0.25;
   options.experiment.pipeline.tokenizer.backtrace_depth = 4;
   options.experiment.pipeline.tokenizer.tree_code_dim = 8;

@@ -28,10 +28,9 @@ std::string temp_path(const char* name) {
   return ::testing::TempDir() + "/" + name;
 }
 
-EngineOptions small_options(int threads, int batch) {
+EngineOptions small_options(int threads) {
   EngineOptions options;
   options.num_threads = threads;
-  options.batch_size = batch;
   options.suite_scale = 0.25;
   options.experiment.pipeline.tokenizer.backtrace_depth = 4;
   options.experiment.pipeline.tokenizer.tree_code_dim = 8;
@@ -53,14 +52,14 @@ std::vector<std::pair<std::string, std::string>> all_pairs(
 TEST(ServePersistTest, WarmStartIsBitIdenticalAndAllHits) {
   const std::string path = temp_path("warm_engine.rbpc");
 
-  InferenceEngine cold(small_options(2, 4));
+  InferenceEngine cold(small_options(2));
   const std::vector<std::string> bits = cold.bit_names("b03");
   const auto pairs = all_pairs(bits);
   const std::vector<double> cold_scores = cold.score_batch("b03", pairs);
   cold.save_cache(path);
   ASSERT_GT(cold.stats().cache_entries, 0u);
 
-  InferenceEngine warm(small_options(2, 4));
+  InferenceEngine warm(small_options(2));
   const std::size_t warmed = warm.load_cache(path);
   EXPECT_EQ(warmed, cold.stats().cache_entries);
   EXPECT_EQ(warm.stats().warm_entries, warmed);
@@ -83,7 +82,7 @@ TEST(ServePersistTest, CorruptSnapshotStartsColdWithoutCrashing) {
     std::ofstream out(path, std::ios::binary);
     out << "RBPC but then garbage that is definitely not records";
   }
-  InferenceEngine engine(small_options(1, 4));
+  InferenceEngine engine(small_options(1));
   EXPECT_EQ(engine.load_cache(path), 0u);
   EXPECT_EQ(engine.stats().warm_entries, 0u);
   EXPECT_EQ(engine.stats().warm_rejected, 1u);
@@ -96,7 +95,7 @@ TEST(ServePersistTest, CorruptSnapshotStartsColdWithoutCrashing) {
 }
 
 TEST(ServePersistTest, MissingSnapshotStartsCold) {
-  InferenceEngine engine(small_options(1, 4));
+  InferenceEngine engine(small_options(1));
   EXPECT_EQ(engine.load_cache(temp_path("never_saved.rbpc")), 0u);
   EXPECT_EQ(engine.stats().warm_rejected, 0u);
 }
@@ -104,7 +103,7 @@ TEST(ServePersistTest, MissingSnapshotStartsCold) {
 TEST(ServePersistTest, SnapshotOfAnotherModelStartsColdAndCounted) {
   const std::string path = temp_path("warm_foreign_model.rbpc");
   const std::string weights = temp_path("warm_foreign_model.bin");
-  InferenceEngine untrained(small_options(1, 4));
+  InferenceEngine untrained(small_options(1));
   const std::vector<std::string> bits = untrained.bit_names("b03");
   const auto pairs = all_pairs(bits);
   (void)untrained.score_batch("b03", pairs);
@@ -112,12 +111,12 @@ TEST(ServePersistTest, SnapshotOfAnotherModelStartsColdAndCounted) {
   {
     // The same architecture with one weight changed: another model.
     bert::BertPairClassifier model(
-        core::make_model_config(small_options(1, 4).experiment));
+        core::make_model_config(small_options(1).experiment));
     model.parameters().front()->value.data()[0] += 0.5f;
     model.pack_weights();
     model.save(weights);
   }
-  EngineOptions options = small_options(1, 4);
+  EngineOptions options = small_options(1);
   options.model_path = weights;
   InferenceEngine reference(options);
   InferenceEngine restarted(options);
@@ -141,7 +140,7 @@ TEST(ServePersistTest, ServeLoopSnapshotsAtCadenceAndOnExit) {
   const std::string path = temp_path("loop_snapshot.rbpc");
   std::remove(path.c_str());
 
-  InferenceEngine engine(small_options(2, 4));
+  InferenceEngine engine(small_options(2));
   ServeLoop loop(engine);
   loop.enable_snapshots(path, /*every_n=*/2);
   const std::vector<std::string> bits = engine.bit_names("b03");
@@ -155,7 +154,7 @@ TEST(ServePersistTest, ServeLoopSnapshotsAtCadenceAndOnExit) {
   const std::size_t answered = loop.run(in, out);
   EXPECT_EQ(answered, 4u);
 
-  InferenceEngine warm(small_options(1, 4));
+  InferenceEngine warm(small_options(1));
   const std::size_t warmed = warm.load_cache(path);
   EXPECT_EQ(warmed, engine.stats().cache_entries);
   EXPECT_GT(warmed, 0u);
@@ -168,7 +167,7 @@ TEST(ServePersistTest, EveryNBelowOneSavesOnlyOnShutdown) {
   const std::string path = temp_path("shutdown_only.rbpc");
   std::remove(path.c_str());
 
-  InferenceEngine engine(small_options(2, 4));
+  InferenceEngine engine(small_options(2));
   ServeLoop loop(engine);
   loop.enable_snapshots(path, /*every_n=*/0);
   const std::vector<std::string> bits = engine.bit_names("b03");
@@ -187,7 +186,7 @@ TEST(ServePersistTest, EveryNBelowOneSavesOnlyOnShutdown) {
   EXPECT_EQ(answered, 6u);
 
   // ...and the shutdown path (end of run()) writes exactly one, loadable.
-  InferenceEngine warm(small_options(1, 4));
+  InferenceEngine warm(small_options(1));
   const std::size_t warmed = warm.load_cache(path);
   EXPECT_EQ(warmed, engine.stats().cache_entries);
   EXPECT_GT(warmed, 0u);
@@ -202,7 +201,7 @@ TEST(ServePersistTest, ConcurrentCadenceSavesCoalesceWithoutCorruption) {
   const std::string path = temp_path("coalesce.rbpc");
   std::remove(path.c_str());
 
-  InferenceEngine engine(small_options(2, 4));
+  InferenceEngine engine(small_options(2));
   const std::vector<std::string> bits = engine.bit_names("b03");
   ServeLoop loop(engine);
   loop.enable_snapshots(path, /*every_n=*/1);
@@ -238,7 +237,7 @@ TEST(ServePersistTest, ConcurrentCadenceSavesCoalesceWithoutCorruption) {
   server.join();
   std::remove(socket_path.c_str());
 
-  InferenceEngine warm(small_options(1, 4));
+  InferenceEngine warm(small_options(1));
   const std::size_t warmed = warm.load_cache(path);
   EXPECT_EQ(warmed, engine.stats().cache_entries);
   EXPECT_GT(warmed, 0u);
@@ -248,12 +247,12 @@ TEST(ServePersistTest, ConcurrentCadenceSavesCoalesceWithoutCorruption) {
 TEST(ServePersistTest, StatsLineReportsWarmEntries) {
   const std::string path = temp_path("stats_warm.rbpc");
   {
-    InferenceEngine engine(small_options(1, 4));
+    InferenceEngine engine(small_options(1));
     const std::vector<std::string> bits = engine.bit_names("b03");
     (void)engine.score("b03", bits[0], bits[1]);
     engine.save_cache(path);
   }
-  InferenceEngine engine(small_options(1, 4));
+  InferenceEngine engine(small_options(1));
   engine.load_cache(path);
   ServeLoop loop(engine);
   bool quit = false;
@@ -273,7 +272,7 @@ TEST(ServePersistTest, RoundTripSurvivesRepeatedRestarts) {
   std::vector<double> reference;
   std::size_t last_entries = 0;
   for (int run = 0; run < 3; ++run) {
-    InferenceEngine engine(small_options(2, 4));
+    InferenceEngine engine(small_options(2));
     (void)engine.load_cache(path);
     const std::vector<std::string> bits = engine.bit_names("b03");
     const std::vector<double> scores =

@@ -33,7 +33,6 @@ namespace {
 EngineOptions small_options() {
   EngineOptions options;
   options.num_threads = 2;
-  options.batch_size = 4;
   options.suite_scale = 0.25;
   options.experiment.pipeline.tokenizer.backtrace_depth = 4;
   options.experiment.pipeline.tokenizer.tree_code_dim = 8;
