@@ -13,9 +13,10 @@
 //   rebert_cli optimize    --in c.bench --out e.bench
 //   rebert_cli train       --out model.bin [--benchmarks b03,b08,...]
 //                          [--scale 0.25] [--epochs 3] [--max-samples 250]
+//                          [--depth 6] [--verbose]
 //   rebert_cli recover     --in c.bench [--model model.bin] [--threads N]
 //                          [--words truth] [--structural] [--report]
-//                          [--cache-file cache.rbpc]
+//                          [--json] [--cache-file cache.rbpc] [--depth 6]
 //   rebert_cli analyze     --in c.bench --bits q0,q1,q2
 //   rebert_cli dot         --in c.bench --out c.dot [--words truth]
 //   rebert_cli lint        --in c.bench [--words truth] [--format text|csv]
@@ -23,6 +24,7 @@
 //   rebert_cli serve       [--socket /tmp/rebert.sock] [--threads N]
 //                          [--model model.bin]
 //                          [--manifest models.manifest] [--scale 0.25]
+//                          [--depth 6]
 //                          [--cache-file cache.rbpc] [--snapshot-every 64]
 //                          [--max-inflight 0] [--max-inflight-per-bench 0]
 //                          [--retry-after-ms 50] [--deadline-ms 0]
@@ -34,10 +36,16 @@
 //                          [--replicas 2] [--mirror-queue-depth 256]
 //                          [--queue-depth 0] [--queue-timeout-ms 250]
 //                          [--probe-interval-ms 200] + serve flags
-//                          passed through to spawned backends
+//                          (but --socket) passed through to spawned
+//                          backends
 //   rebert_cli call        --socket /tmp/router.sock [--retry] <request...>
 //   rebert_cli score       [--bench b07] [--pairs 200 | --bits a,b]
-//                          [--seed 1] [--cache-file cache.rbpc] [...]
+//                          [--seed 1] [--cache-file cache.rbpc]
+//                          [--model model.bin] [--manifest models.manifest]
+//                          [--scale 0.25] [--depth 6] [--threads N]
+//
+// A flag the subcommand does not name above (or the global --kernels)
+// prints `unknown flag --x` and the usage screen and exits 2.
 //
 // File formats are detected by extension: .v / .verilog parse as structural
 // Verilog, everything else as ISCAS-89 .bench.
@@ -72,6 +80,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -137,10 +146,6 @@ core::ExperimentOptions experiment_options(const util::FlagParser& flags) {
   options.pipeline.tokenizer.backtrace_depth = flags.get_int("depth", 6);
   options.pipeline.tokenizer.tree_code_dim = 16;
   options.pipeline.tokenizer.max_seq_len = 256;
-  options.dataset.max_samples_per_circuit =
-      flags.get_int("max-samples", 250);
-  options.training.epochs = flags.get_int("epochs", 3);
-  options.training.verbose = flags.get_bool("verbose", false);
   return options;
 }
 
@@ -232,6 +237,10 @@ int cmd_train(const util::FlagParser& flags) {
   const std::string list =
       flags.get("benchmarks", "b03,b04,b05,b07,b08,b11,b12,b13");
   core::ExperimentOptions options = experiment_options(flags);
+  options.dataset.max_samples_per_circuit =
+      flags.get_int("max-samples", 250);
+  options.training.epochs = flags.get_int("epochs", 3);
+  options.training.verbose = flags.get_bool("verbose", false);
 
   std::vector<core::CircuitData> circuits;
   for (const std::string& piece : util::split(list, ',')) {
@@ -459,6 +468,30 @@ int cmd_lint(const util::FlagParser& flags) {
   return failed ? 1 : 0;
 }
 
+// serve's flags. route accepts them too and hands each one given, except
+// the per-backend --socket and --cache-file, to every backend it spawns.
+constexpr char kServeFlags[] =
+    "[--socket /tmp/rebert.sock] [--threads N] [--model model.bin] "
+    "[--manifest models.manifest] [--scale 0.25] [--depth 6] "
+    "[--cache-file cache.rbpc] [--snapshot-every 64] [--max-inflight 0] "
+    "[--max-inflight-per-bench 0] [--retry-after-ms 50] "
+    "[--deadline-ms 0] [--max-connections 64] [--listen-backlog 0] "
+    "[--dispatch-threads 0]";
+
+/// The flag names ("--name" tokens) a help string mentions, in order.
+std::vector<std::string> flags_in(std::string_view help) {
+  std::vector<std::string> names;
+  for (std::size_t at = help.find("--"); at != std::string_view::npos;
+       at = help.find("--", at)) {
+    at += 2;
+    const std::size_t end = std::min(help.find_first_of(" ]|", at),
+                                     help.size());
+    names.emplace_back(help.substr(at, end - at));
+    at = end;
+  }
+  return names;
+}
+
 int cmd_serve(const util::FlagParser& flags) {
   serve::InferenceEngine engine(engine_options(flags));
   serve::ServeLoop loop(engine);
@@ -517,27 +550,16 @@ int cmd_route(const util::FlagParser& flags) {
       std::vector<std::string> argv{
           "/proc/self/exe", "serve", "--socket", backend_sockets[
               static_cast<std::size_t>(i)]};
-      const auto pass = [&](const char* flag) {
+      const auto pass = [&](const std::string& flag) {
         const std::string value = flags.get(flag, "");
         if (!value.empty()) {
-          argv.push_back(std::string("--") + flag);
+          argv.push_back("--" + flag);
           argv.push_back(value);
         }
       };
-      pass("threads");
-      pass("scale");
-      pass("model");
-      pass("manifest");
-      pass("depth");
-      pass("max-inflight");
-      pass("max-inflight-per-bench");
-      pass("retry-after-ms");
-      pass("deadline-ms");
-      pass("max-connections");
-      pass("listen-backlog");
-      pass("dispatch-threads");
+      for (const std::string& flag : flags_in(kServeFlags))
+        if (flag != "socket" && flag != "cache-file") pass(flag);
       pass("kernels");
-      pass("snapshot-every");
       // Per-backend snapshot files: each worker persists (and, after a
       // SIGKILL respawn, mmaps) its own shard of the cache — shared state
       // between workers would defeat the consistent-hash partitioning.
@@ -761,13 +783,16 @@ int cmd_score(const util::FlagParser& flags) {
   return 0;
 }
 
-// The one subcommand table: the usage screen and the dispatcher in main()
-// are both generated from it, so adding a command here is the whole
-// registration.
+// The one subcommand table: the usage screen, the dispatcher in main()
+// and each command's flag allow-list are all generated from it, so adding
+// a command here is the whole registration. A command accepts the flags
+// its flags_help names, those `forwards` names (flags it hands on to the
+// processes it spawns) and the global --kernels; main() rejects any other.
 struct Subcommand {
   const char* name;
   const char* flags_help;
   int (*run)(const util::FlagParser&);
+  const char* forwards = nullptr;
 };
 
 constexpr Subcommand kSubcommands[] = {
@@ -780,11 +805,12 @@ constexpr Subcommand kSubcommands[] = {
     {"optimize", "--in c.bench --out e.bench", cmd_optimize},
     {"train",
      "--out model.bin [--benchmarks b03,b08,...] [--scale 0.25] "
-     "[--epochs 3] [--max-samples 250]",
+     "[--epochs 3] [--max-samples 250] [--depth 6] [--verbose]",
      cmd_train},
     {"recover",
      "--in c.bench [--model model.bin] [--threads N] [--words truth] "
-     "[--structural] [--report] [--json] [--cache-file cache.rbpc]",
+     "[--structural] [--report] [--json] [--cache-file cache.rbpc] "
+     "[--depth 6]",
      cmd_recover},
     {"analyze", "--in c.bench --bits q0,q1,q2", cmd_analyze},
     {"dot", "--in c.bench --out c.dot [--words truth]", cmd_dot},
@@ -792,27 +818,22 @@ constexpr Subcommand kSubcommands[] = {
      "--in c.bench [--words truth] [--format text|csv] [--out report.csv] "
      "[--fail-on-warn]",
      cmd_lint},
-    {"serve",
-     "[--socket /tmp/rebert.sock] [--threads N] [--model model.bin] "
-     "[--manifest models.manifest] [--scale 0.25] "
-     "[--cache-file cache.rbpc] [--snapshot-every 64] [--max-inflight 0] "
-     "[--max-inflight-per-bench 0] [--retry-after-ms 50] "
-     "[--deadline-ms 0] [--max-connections 64] [--listen-backlog 0] "
-     "[--dispatch-threads 0]",
-     cmd_serve},
+    {"serve", kServeFlags, cmd_serve},
     {"route",
      "--socket /tmp/router.sock [--backends 2 | --backend-sockets "
      "a[@w],b[@w]] [--backend-weights 1,2] [--replicas 2] "
      "[--mirror-queue-depth 256] [--queue-depth 0] [--queue-timeout-ms 250] "
      "[--vnodes 64] [--probe-interval-ms 200] [+ serve flags for spawned "
      "backends; --cache-file gives each backend <file>.backendN]",
-     cmd_route},
+     cmd_route, kServeFlags},
     {"call",
      "--socket /tmp/router.sock [--retry] <request tokens...>",
      cmd_call},
     {"score",
      "[--bench b07] [--pairs 200 | --bits a,b] [--seed 1] "
-     "[--cache-file cache.rbpc] [--model model.bin] [--threads N]",
+     "[--cache-file cache.rbpc] [--model model.bin] "
+     "[--manifest models.manifest] [--scale 0.25] [--depth 6] "
+     "[--threads N]",
      cmd_score},
 };
 
@@ -850,12 +871,25 @@ int main(int argc, char** argv) {
     }
   }
   const std::string& command = flags.positional()[0];
-  try {
-    for (const Subcommand& entry : kSubcommands)
-      if (command == entry.name) return entry.run(flags);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
+  for (const Subcommand& entry : kSubcommands) {
+    if (command != entry.name) continue;
+    std::vector<std::string> allowed = flags_in(entry.flags_help);
+    if (entry.forwards != nullptr)
+      for (std::string& flag : flags_in(entry.forwards))
+        allowed.push_back(std::move(flag));
+    allowed.push_back("kernels");
+    const std::vector<std::string> unknown = flags.unknown_flags(allowed);
+    if (!unknown.empty()) {
+      for (const std::string& flag : unknown)
+        std::fprintf(stderr, "unknown flag --%s\n", flag.c_str());
+      return usage();
+    }
+    try {
+      return entry.run(flags);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
+      return 1;
+    }
   }
   return usage();
 }

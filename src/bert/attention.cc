@@ -41,8 +41,8 @@ MultiHeadSelfAttention::MultiHeadSelfAttention(const std::string& name,
       output_(name + ".output", config.hidden, config.hidden, rng) {}
 
 void attend_heads(const float* q, const float* k, const float* v, int ld,
-                  int n, int num_heads, int head_dim, int valid_len,
-                  float* concat, std::vector<Tensor>* probs) {
+                  int rows, int n, int num_heads, int head_dim,
+                  int valid_len, float* concat, std::vector<Tensor>* probs) {
   const int hidden = num_heads * head_dim;
   const float inv_sqrt_d = 1.0f / std::sqrt(static_cast<float>(head_dim));
   // -inf surrogate large enough to underflow to exactly 0 after softmax's
@@ -51,14 +51,17 @@ void attend_heads(const float* q, const float* k, const float* v, int ld,
   // After the first forward has grown the arena to the working-set size,
   // the head loop makes no heap allocations.
   kernels::ArenaScope scope;
-  const std::size_t head_elems = static_cast<std::size_t>(n) * head_dim;
-  float* qh = scope.floats(head_elems);
-  float* kh = scope.floats(head_elems);
-  float* vh = scope.floats(head_elems);
-  float* scores = scope.floats(static_cast<std::size_t>(n) * n);
-  float* oh = scope.floats(head_elems);
-  const auto slice_head = [&](const float* src, int c0, float* dst) {
-    for (int i = 0; i < n; ++i)
+  const std::size_t query_elems = static_cast<std::size_t>(rows) * head_dim;
+  const std::size_t key_elems = static_cast<std::size_t>(n) * head_dim;
+  const std::size_t score_elems = static_cast<std::size_t>(rows) * n;
+  float* qh = scope.floats(query_elems);
+  float* kh = scope.floats(key_elems);
+  float* vh = scope.floats(key_elems);
+  float* scores = scope.floats(score_elems);
+  float* oh = scope.floats(query_elems);
+  const auto slice_head = [&](const float* src, int count, int c0,
+                              float* dst) {
+    for (int i = 0; i < count; ++i)
       std::memcpy(dst + static_cast<std::size_t>(i) * head_dim,
                   src + static_cast<std::size_t>(i) * ld + c0,
                   static_cast<std::size_t>(head_dim) * sizeof(float));
@@ -66,28 +69,28 @@ void attend_heads(const float* q, const float* k, const float* v, int ld,
 
   for (int h = 0; h < num_heads; ++h) {
     const int c0 = h * head_dim;
-    slice_head(q, c0, qh);
-    slice_head(k, c0, kh);
-    slice_head(v, c0, vh);
-    kernels::gemm_nt(qh, kh, scores, n, head_dim, n);
-    kernels::scale(scores, inv_sqrt_d, static_cast<std::int64_t>(n) * n);
+    slice_head(q, rows, c0, qh);
+    slice_head(k, n, c0, kh);
+    slice_head(v, n, c0, vh);
+    kernels::gemm_nt(qh, kh, scores, rows, head_dim, n);
+    kernels::scale(scores, inv_sqrt_d,
+                   static_cast<std::int64_t>(score_elems));
     if (valid_len > 0 && valid_len < n) {
-      for (int i = 0; i < n; ++i) {
+      for (int i = 0; i < rows; ++i) {
         float* srow = scores + static_cast<std::size_t>(i) * n;
         for (int j = valid_len; j < n; ++j) srow[j] = kMaskValue;
       }
     }
-    kernels::softmax_rows(scores, n, n);
+    kernels::softmax_rows(scores, rows, n);
     if (probs) {
-      Tensor p({n, n});
-      std::memcpy(p.data(), scores,
-                  static_cast<std::size_t>(n) * n * sizeof(float));
+      Tensor p({rows, n});
+      std::memcpy(p.data(), scores, score_elems * sizeof(float));
       probs->push_back(std::move(p));
     }
-    kernels::gemm(scores, vh, oh, n, n, head_dim);
+    kernels::gemm(scores, vh, oh, rows, n, head_dim);
     // Heads own disjoint column blocks of concat, so this is a straight
     // scatter, not an accumulate.
-    for (int i = 0; i < n; ++i)
+    for (int i = 0; i < rows; ++i)
       std::memcpy(concat + static_cast<std::size_t>(i) * hidden + c0,
                   oh + static_cast<std::size_t>(i) * head_dim,
                   static_cast<std::size_t>(head_dim) * sizeof(float));
@@ -112,7 +115,7 @@ Tensor MultiHeadSelfAttention::forward(const Tensor& x, Cache& cache,
   cache.probs.reserve(static_cast<std::size_t>(num_heads_));
   cache.concat = Tensor({n, hidden});
   attend_heads(cache.q.data(), cache.k.data(), cache.v.data(), hidden, n,
-               num_heads_, head_dim_, valid_len, cache.concat.data(),
+               n, num_heads_, head_dim_, valid_len, cache.concat.data(),
                &cache.probs);
   return output_.forward(cache.concat, cache.out_cache);
 }

@@ -53,14 +53,17 @@ class MultiHeadSelfAttention {
 
 /// The per-head core shared by the training and inference forwards:
 /// for each head h, softmax(Q_h K_h^T / sqrt(d), masked at >= valid_len)
-/// V_h into columns [h*d, (h+1)*d) of `concat` [n, heads*d]. Q, K and V
-/// rows are `ld` floats apart, so fused [n, 3H] projections are read in
-/// place. When `probs` is non-null each head's [n, n] probabilities are
-/// appended to it (backward needs them). Temporaries use the per-thread
-/// arena.
+/// V_h into columns [h*d, (h+1)*d) of `concat` [rows, heads*d], for the
+/// first `rows` of the n queries against all n keys and values. Every
+/// kernel here is row-independent, so a query row's output is bitwise
+/// the same whatever `rows` is. Q, K and V rows are `ld` floats apart, so
+/// fused [n, 3H] projections are read in place. When `probs` is non-null
+/// each head's [rows, n] probabilities are appended to it (backward needs
+/// them). Temporaries use the per-thread arena.
 void attend_heads(const float* q, const float* k, const float* v, int ld,
-                  int n, int num_heads, int head_dim, int valid_len,
-                  float* concat, std::vector<tensor::Tensor>* probs);
+                  int rows, int n, int num_heads, int head_dim,
+                  int valid_len, float* concat,
+                  std::vector<tensor::Tensor>* probs);
 
 /// Copy columns [c0, c1) of a matrix into a new matrix.
 tensor::Tensor slice_cols(const tensor::Tensor& x, int c0, int c1);

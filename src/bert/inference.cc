@@ -8,6 +8,15 @@
 // arena, and the weights come pre-packed in kernels::pack_b panels
 // instead of being repacked on every GEMM call. Q, K and V share one
 // [H, 3H] matrix, so one GEMM projects all three.
+//
+// The classifier head reads only the final hidden state of [CLS] (row
+// 0), so the last layer runs past its QKV projection on that row alone:
+// row 0's attention over all n keys and values, the output projection,
+// both Add & Norms and the FFN. This stays bitwise equal to the training
+// forward's row 0 because every kernel is row-independent: each GEMM
+// element is one fixed-order reduction over its own A row, softmax and
+// LayerNorm work per row, GELU per element, and the residual axpy adds
+// with alpha 1, which rounds the same in a vector lane or a scalar tail.
 #include <algorithm>
 #include <cmath>
 #include <cstring>
@@ -160,7 +169,6 @@ Tensor BertPairClassifier::inference_logits(
   const int hidden = config_.hidden;
   const int inter = config_.intermediate;
   const std::size_t nh = static_cast<std::size_t>(n) * hidden;
-  const std::size_t ni = static_cast<std::size_t>(n) * inter;
 
   kernels::ArenaScope scope;
   float* x = scope.floats(nh);  // the hidden state between layers
@@ -197,28 +205,32 @@ Tensor BertPairClassifier::inference_logits(
   for (std::size_t l = 0; l < layers_.size(); ++l) {
     const EncoderLayer& layer = layers_[l];
     const PackedWeights::Layer& w = packed.layers[l];
+    // Past its QKV projection the last layer computes the [CLS] row only.
+    const int rows = l + 1 == layers_.size() ? 1 : n;
+    const std::size_t rh = static_cast<std::size_t>(rows) * hidden;
+    const std::size_t ri = static_cast<std::size_t>(rows) * inter;
     kernels::ArenaScope layer_scope;
     float* qkv = layer_scope.floats(3 * nh);
     w.qkv.apply(x, n, qkv);
-    float* concat = layer_scope.floats(nh);
-    attend_heads(qkv, qkv + hidden, qkv + 2 * hidden, 3 * hidden, n,
+    float* concat = layer_scope.floats(rh);
+    attend_heads(qkv, qkv + hidden, qkv + 2 * hidden, 3 * hidden, rows, n,
                  layer.attention_.num_heads_, layer.attention_.head_dim_,
                  input.valid_len, concat, nullptr);
-    float* att = layer_scope.floats(nh);
-    w.attention_output.apply(concat, n, att);
-    kernels::axpy(att, x, 1.0f, static_cast<std::int64_t>(nh));  // residual
-    float* att_normed = layer_scope.floats(nh);
-    layer_norm(layer.attention_norm_, att, n, hidden, att_normed);
+    float* att = layer_scope.floats(rh);
+    w.attention_output.apply(concat, rows, att);
+    kernels::axpy(att, x, 1.0f, static_cast<std::int64_t>(rh));  // residual
+    float* att_normed = layer_scope.floats(rh);
+    layer_norm(layer.attention_norm_, att, rows, hidden, att_normed);
 
-    float* pre_act = layer_scope.floats(ni);
-    w.intermediate.apply(att_normed, n, pre_act);
-    float* activated = layer_scope.floats(ni);
-    kernels::gelu(pre_act, activated, static_cast<std::int64_t>(ni));
-    float* ffn = layer_scope.floats(nh);
-    w.ffn_output.apply(activated, n, ffn);
+    float* pre_act = layer_scope.floats(ri);
+    w.intermediate.apply(att_normed, rows, pre_act);
+    float* activated = layer_scope.floats(ri);
+    kernels::gelu(pre_act, activated, static_cast<std::int64_t>(ri));
+    float* ffn = layer_scope.floats(rh);
+    w.ffn_output.apply(activated, rows, ffn);
     kernels::axpy(ffn, att_normed, 1.0f,
-                  static_cast<std::int64_t>(nh));  // residual
-    layer_norm(layer.ffn_norm_, ffn, n, hidden, x);
+                  static_cast<std::int64_t>(rh));  // residual
+    layer_norm(layer.ffn_norm_, ffn, rows, hidden, x);
   }
 
   // Head: [CLS] row -> pooler -> tanh -> classifier.

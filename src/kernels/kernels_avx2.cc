@@ -483,18 +483,30 @@ inline __m256 norm_cdf8(__m256 x) {
 }
 
 void avx2_gelu(const float* x, float* y, std::int64_t n) {
-  std::int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 xv = _mm256_loadu_ps(x + i);
-    if (finite_mask8(xv) != 0xFF) {
-      // Non-finite lanes reuse the scalar backend's exact formula.
-      for (int l = 0; l < 8; ++l)
-        y[i + l] = x[i + l] * scalar_norm_cdf(x[i + l]);
+  // Strictly per element, whatever vector a value lands in: finite lanes
+  // take the polynomial (a tail runs zero-padded through it) and only
+  // non-finite lanes the scalar backend's exact formula. So a row's GELU
+  // is the same alone or inside a longer buffer.
+  for (std::int64_t i = 0; i < n; i += 8) {
+    const int w = static_cast<int>(std::min<std::int64_t>(8, n - i));
+    const float* in = x + i;
+    alignas(32) float tail[8] = {};
+    if (w < 8) {
+      std::memcpy(tail, in, static_cast<std::size_t>(w) * sizeof(float));
+      in = tail;
+    }
+    const __m256 xv = _mm256_loadu_ps(in);
+    const __m256 yv = _mm256_mul_ps(xv, norm_cdf8(xv));
+    const int finite = finite_mask8(xv);
+    if (w == 8 && finite == 0xFF) {
+      _mm256_storeu_ps(y + i, yv);
       continue;
     }
-    _mm256_storeu_ps(y + i, _mm256_mul_ps(xv, norm_cdf8(xv)));
+    alignas(32) float out[8];
+    _mm256_store_ps(out, yv);
+    for (int l = 0; l < w; ++l)
+      y[i + l] = (finite >> l & 1) ? out[l] : in[l] * scalar_norm_cdf(in[l]);
   }
-  for (; i < n; ++i) y[i] = x[i] * scalar_norm_cdf(x[i]);
 }
 
 void avx2_gelu_backward(const float* dy, const float* x, float* dx,

@@ -1,6 +1,7 @@
 #include "serve/engine.h"
 
 #include <algorithm>
+#include <unordered_map>
 
 #include "circuitgen/suite.h"
 #include "kernels/backend.h"
@@ -190,17 +191,36 @@ std::vector<double> InferenceEngine::score_batch(
     pairs.emplace_back(bit_index(context, bench_name, a),
                        bit_index(context, bench_name, b));
 
+  core::ShardedPredictionCache* cache =
+      options_.experiment.pipeline.use_prediction_cache ? entry.cache
+                                                        : nullptr;
+  // With a cache, pairs under one cache key are scored once and the score
+  // fanned back out: two chunks racing on a repeated pair would otherwise
+  // both miss and both forward.
+  std::vector<std::size_t> slot;  // pair k's score is scores[slot[k]]
+  if (cache != nullptr) {
+    std::unordered_map<std::uint64_t, std::size_t> first_of;
+    std::vector<std::pair<int, int>> distinct;
+    slot.reserve(pairs.size());
+    for (const auto& [a, b] : pairs) {
+      const std::uint64_t key = core::hash_sequence(
+          context.keyed[static_cast<std::size_t>(a)].key_prefix,
+          *context.keyed[static_cast<std::size_t>(b)].sequence);
+      const auto [it, fresh] = first_of.try_emplace(key, distinct.size());
+      if (fresh) distinct.emplace_back(a, b);
+      slot.push_back(it->second);
+    }
+    pairs = std::move(distinct);
+  }
+
   core::ScoringOptions scoring;
   scoring.pool = &pool_;
   scoring.cancel = cancel;
-  std::vector<double> scores(bit_pairs.size());
+  std::vector<double> scores(pairs.size());
   std::int64_t forwards = 0;
   try {
-    forwards = core::score_pairs(
-        context.keyed, pairs, tokenizer_, *entry.model,
-        options_.experiment.pipeline.use_prediction_cache ? entry.cache
-                                                          : nullptr,
-        scoring, scores);
+    forwards = core::score_pairs(context.keyed, pairs, tokenizer_,
+                                 *entry.model, cache, scoring, scores);
   } catch (const runtime::CancelledError&) {
     deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
     throw;
@@ -215,7 +235,11 @@ std::vector<double> InferenceEngine::score_batch(
     throw runtime::CancelledError();
   }
   if (forwards > 0) set_model_health(entry, true);
-  return scores;
+  if (slot.empty()) return scores;
+  std::vector<double> out;
+  out.reserve(slot.size());
+  for (const std::size_t k : slot) out.push_back(scores[k]);
+  return out;
 }
 
 RecoverSummary InferenceEngine::recover(const std::string& bench_name,

@@ -199,10 +199,12 @@ class InferenceEngine {
                const std::string& model = "");
 
   /// Batched form: scores every (bitA, bitB) name pair against one bench
-  /// through core::score_pairs. Result order matches input order. `cancel`
-  /// is polled between scoring chunks, never mid-forward, and once more
-  /// before returning. A failed encode or forward marks the model
-  /// unhealthy; a request that forwarded marks it healthy again.
+  /// through core::score_pairs. Result order matches input order. With
+  /// the prediction cache on, pairs sharing a cache key are scored once
+  /// per request. `cancel` is polled between scoring chunks, never
+  /// mid-forward, and once more before returning. A failed encode or
+  /// forward marks the model unhealthy; a request that forwarded marks it
+  /// healthy again.
   std::vector<double> score_batch(
       const std::string& bench,
       const std::vector<std::pair<std::string, std::string>>& bit_pairs,

@@ -151,9 +151,9 @@ TEST(CliWarmStartTest, SnapshotOfAnotherBackendStartsCold) {
   EXPECT_EQ(checksum_of(skewed), checksum_of(scalar));
   EXPECT_NE(skewed.find("0 warm-loaded, warm_rejected=1"), std::string::npos)
       << skewed;
-  // Nothing came from the snapshot: every distinct pair was forwarded.
-  // (A pair repeated within the run may still hit the run's own entry.)
-  EXPECT_GE(count_of(skewed, "miss\\(es\\)"), count_of(scalar, "entries"))
+  // Nothing came from the snapshot: every distinct pair was forwarded
+  // exactly once.
+  EXPECT_EQ(count_of(skewed, "miss\\(es\\)"), count_of(scalar, "entries"))
       << skewed;
   // The rejected file was rewritten under scalar's fingerprint.
   EXPECT_EQ(checksum_of(rewarmed), checksum_of(scalar));

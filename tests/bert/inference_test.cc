@@ -78,19 +78,31 @@ class InferenceTest : public ::testing::TestWithParam<kernels::Backend> {
 
 TEST_P(InferenceTest, MatchesTrainingForwardBitwise) {
   // With dropout 0 the training forward computes the same logits; the
-  // cross-entropy for both labels pins both class probabilities.
-  const BertConfig c = small_config();
-  BertPairClassifier model(c);
-  util::Rng rng(1);
-  for (int n = 1; n <= c.max_seq_len; ++n) {
-    for (const int valid_len : {0, (n + 1) / 2}) {
-      if (valid_len == n) continue;
-      const EncodedSequence s = random_sequence(n, valid_len, c, rng);
-      for (const int label : {0, 1}) {
-        const double inference = model.eval_loss(s, label);
-        const double training = model.train_step_accumulate(s, label);
-        ASSERT_EQ(inference, training)
-            << "n=" << n << " valid_len=" << valid_len << " label=" << label;
+  // cross-entropy for both labels pins both class probabilities. The
+  // inference forward runs its last layer on the [CLS] row only, so it is
+  // checked at every depth: at 1 layer the embeddings feed that layer
+  // directly. Intermediate 36 leaves a row tail of 4, which is not a
+  // whole vector, so GELU must be per element for the row to match.
+  for (const int num_layers : {1, 2, 3}) {
+    for (const int intermediate : {40, 36}) {
+      BertConfig c = small_config();
+      c.num_layers = num_layers;
+      c.intermediate = intermediate;
+      BertPairClassifier model(c);
+      util::Rng rng(1);
+      for (int n = 1; n <= c.max_seq_len; ++n) {
+        for (const int valid_len : {0, (n + 1) / 2}) {
+          if (valid_len == n) continue;
+          const EncodedSequence s = random_sequence(n, valid_len, c, rng);
+          for (const int label : {0, 1}) {
+            const double inference = model.eval_loss(s, label);
+            const double training = model.train_step_accumulate(s, label);
+            ASSERT_EQ(inference, training)
+                << "layers=" << num_layers
+                << " intermediate=" << intermediate << " n=" << n
+                << " valid_len=" << valid_len << " label=" << label;
+          }
+        }
       }
     }
   }

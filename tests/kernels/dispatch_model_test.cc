@@ -120,11 +120,41 @@ TEST_P(DispatchModelTest, AttentionCachedAndUncachedForwardsAgree) {
     }
   Tensor uncached({n, hidden});
   bert::attend_heads(qkv.data(), qkv.data() + hidden,
-                     qkv.data() + 2 * hidden, 3 * hidden, n,
+                     qkv.data() + 2 * hidden, 3 * hidden, n, n,
                      config.num_heads, config.head_dim(), /*valid_len=*/5,
                      uncached.data(), nullptr);
   for (std::int64_t i = 0; i < uncached.numel(); ++i)
     ASSERT_EQ(cache.concat[i], uncached[i]) << "flat index " << i;
+}
+
+TEST_P(DispatchModelTest, AttentionOnTheFirstRowMatchesItsRowOfAllRows) {
+  // The inference forward's last layer attends for the [CLS] query only.
+  // Row 0 against all n keys must equal row 0 of the all-rows call
+  // bitwise, masked or not.
+  util::Rng rng(26);
+  const int n = 9, heads = 3, head_dim = 8, hidden = heads * head_dim;
+  const Tensor qkv = Tensor::randn({n, 3 * hidden}, rng);
+  for (const int valid_len : {0, 6}) {
+    const auto attend = [&](int rows, Tensor* out,
+                            std::vector<Tensor>* probs) {
+      bert::attend_heads(qkv.data(), qkv.data() + hidden,
+                         qkv.data() + 2 * hidden, 3 * hidden, rows, n, heads,
+                         head_dim, valid_len, out->data(), probs);
+    };
+    Tensor all_rows({n, hidden});
+    Tensor first_row({1, hidden});
+    std::vector<Tensor> all_probs, first_probs;
+    attend(n, &all_rows, &all_probs);
+    attend(1, &first_row, &first_probs);
+    for (int j = 0; j < hidden; ++j)
+      ASSERT_EQ(first_row.at(0, j), all_rows.at(0, j))
+          << "valid_len=" << valid_len << " column " << j;
+    ASSERT_EQ(first_probs.size(), all_probs.size());
+    for (std::size_t h = 0; h < first_probs.size(); ++h)
+      for (int j = 0; j < n; ++j)
+        ASSERT_EQ(first_probs[h].at(0, j), all_probs[h].at(0, j))
+            << "valid_len=" << valid_len << " head " << h << " key " << j;
+  }
 }
 
 TEST_P(DispatchModelTest, AttentionPropagatesNaNInput) {

@@ -279,7 +279,34 @@ TEST_F(ParityTest, GeluPropagatesNonFiniteLanes) {
   avx2.gelu(x.data(), got.data(), static_cast<std::int64_t>(x.size()));
   for (std::size_t i = 0; i < x.size(); ++i) {
     ASSERT_EQ(std::isnan(ref[i]), std::isnan(got[i])) << i;
-    if (!std::isnan(ref[i])) EXPECT_TRUE(near(got[i], ref[i])) << i;
+    if (!std::isnan(ref[i])) {
+      EXPECT_TRUE(near(got[i], ref[i])) << i;
+    }
+  }
+}
+
+TEST_F(ParityTest, GeluIsPerElementOnEachBackend) {
+  // Each output depends on its input alone, not on where the value falls
+  // against the vector width: any slice equals the same slice of a longer
+  // call, bitwise, NaN/Inf neighbours included. (The inference forward
+  // runs GELU on the [CLS] row alone and must match the full-row run.)
+  util::Rng rng(111);
+  std::vector<float> x = randn(45, rng, 3.0f);
+  x[13] = std::numeric_limits<float>::quiet_NaN();
+  x[30] = std::numeric_limits<float>::infinity();
+  for (const KernelTable* table : {&scalar, &avx2}) {
+    std::vector<float> whole(x.size());
+    table->gelu(x.data(), whole.data(), static_cast<std::int64_t>(x.size()));
+    for (const int begin : {0, 3, 9, 28}) {
+      for (const int length : {1, 4, 7, 12, 17}) {
+        std::vector<float> part(static_cast<std::size_t>(length));
+        table->gelu(x.data() + begin, part.data(), length);
+        ASSERT_EQ(std::memcmp(part.data(), whole.data() + begin,
+                              part.size() * sizeof(float)),
+                  0)
+            << "begin=" << begin << " length=" << length;
+      }
+    }
   }
 }
 

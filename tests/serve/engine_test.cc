@@ -71,6 +71,25 @@ TEST(InferenceEngineTest, BatchMatchesIndividualScores) {
   }
 }
 
+TEST(InferenceEngineTest, RepeatedPairIsForwardedOncePerRequest) {
+  // 64 copies of one pair span two scheduling chunks on four threads; the
+  // request collapses them by cache key, so racing chunks cannot both miss.
+  InferenceEngine engine(small_options(4));
+  const std::vector<std::string> bits = engine.bit_names("b03");
+  ASSERT_GE(bits.size(), 2u);
+  const std::vector<std::pair<std::string, std::string>> pairs(
+      64, {bits[0], bits[1]});
+  ASSERT_GT(pairs.size(), static_cast<std::size_t>(
+                              core::ScoringOptions{}.grain));
+  const std::vector<double> scores = engine.score_batch("b03", pairs);
+  ASSERT_EQ(scores.size(), pairs.size());
+  for (const double score : scores) EXPECT_EQ(score, scores.front());
+  const EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.cache_misses, 1u);
+  EXPECT_EQ(stats.cache_hits, 0u);
+  EXPECT_EQ(stats.score_requests, pairs.size());
+}
+
 TEST(InferenceEngineTest, ScoreAnswersRecoversPairsFromItsCache) {
   // recover and score share one scoring routine and one key: after a
   // recover, scoring any bit pair it scored is a cache hit with its score.
