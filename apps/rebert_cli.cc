@@ -31,11 +31,7 @@
 //                          [--max-connections 64] [--listen-backlog 0]
 //                          [--dispatch-threads 0]
 //   rebert_cli route       --socket /tmp/router.sock [--backends 2 |
-//                          --backend-sockets a.sock[@w],b.sock[@w]]
-//                          [--backend-weights 1,2] [--vnodes 64]
-//                          [--replicas 2] [--mirror-queue-depth 256]
-//                          [--queue-depth 0] [--queue-timeout-ms 250]
-//                          [--probe-interval-ms 200] + serve flags
+//                          --backend-sockets a.sock,b.sock] + serve flags
 //                          (but --socket) passed through to spawned
 //                          backends
 //   rebert_cli call        --socket /tmp/router.sock [--retry] <request...>
@@ -299,11 +295,11 @@ int cmd_recover(const util::FlagParser& flags) {
     // Cross-run prediction reuse: warm the cache from a snapshot before
     // scoring and write it back after (lossless — labels are identical
     // warm or cold, only wall-clock changes). The cache is bound to this
-    // model and kernel backend first, so another scorer's snapshot is
-    // refused and starts cold.
+    // model, kernel backend and token budget first, so another scorer's
+    // snapshot is refused and starts cold.
     core::ShardedPredictionCache cache;
     if (!cache_file.empty()) {
-      cache.bind(model.fingerprint());
+      cache.bind(core::scorer_fingerprint(model, options.pipeline.tokenizer));
       const std::size_t warmed =
           persist::warm_start_cache(&cache, cache_file);
       std::printf("cache: warm-started %zu entries from %s "
@@ -531,11 +527,7 @@ int cmd_route(const util::FlagParser& flags) {
 
   // Backend set: either externally managed daemons (--backend-sockets) or
   // N supervised children spawned from this very binary (--backends).
-  // Each backend carries a ring weight: externally via the manifest syntax
-  // `path@weight`, supervised via the --backend-weights comma list
-  // (index-matched, missing entries default to 1).
   std::vector<std::string> backend_sockets;
-  std::vector<double> backend_weights;
   const std::string external = flags.get("backend-sockets", "");
   router::BackendSupervisor supervisor;
   const bool supervised = external.empty();
@@ -570,47 +562,11 @@ int cmd_route(const util::FlagParser& flags) {
       }
       supervisor.add("backend" + std::to_string(i), std::move(argv));
     }
-    backend_weights.assign(backend_sockets.size(), 1.0);
-    std::size_t at = 0;
-    for (const std::string& piece :
-         util::split(flags.get("backend-weights", ""), ',')) {
-      if (at >= backend_weights.size()) break;
-      const std::string text = util::trim(piece);
-      if (!text.empty()) {
-        char* end = nullptr;
-        const double weight = std::strtod(text.c_str(), &end);
-        if (end == nullptr || *end != '\0' || !(weight > 0.0)) {
-          std::fprintf(stderr, "--backend-weights: bad weight '%s'\n",
-                       text.c_str());
-          return 2;
-        }
-        backend_weights[at] = weight;
-      }
-      ++at;
-    }
     supervisor.start();
   } else {
     for (const std::string& piece : util::split(external, ',')) {
-      std::string entry = util::trim(piece);
-      if (entry.empty()) continue;
-      double weight = 1.0;
-      const std::size_t split_at = entry.rfind('@');
-      if (split_at != std::string::npos) {
-        const std::string text = entry.substr(split_at + 1);
-        char* end = nullptr;
-        weight = std::strtod(text.c_str(), &end);
-        if (text.empty() || end == nullptr || *end != '\0' ||
-            !(weight > 0.0)) {
-          std::fprintf(stderr,
-                       "--backend-sockets: bad weight in '%s' "
-                       "(want path@weight)\n",
-                       entry.c_str());
-          return 2;
-        }
-        entry = util::trim(entry.substr(0, split_at));
-      }
-      backend_sockets.push_back(entry);
-      backend_weights.push_back(weight);
+      const std::string entry = util::trim(piece);
+      if (!entry.empty()) backend_sockets.push_back(entry);
     }
     if (backend_sockets.empty()) {
       std::fprintf(stderr, "--backend-sockets names no sockets\n");
@@ -619,19 +575,11 @@ int cmd_route(const util::FlagParser& flags) {
   }
 
   router::RouterOptions options;
-  options.vnodes = flags.get_int("vnodes", 64);
-  options.replicas = flags.get_int("replicas", 2);
-  options.probe_interval_ms = flags.get_int("probe-interval-ms", 200);
   options.retry_after_ms = flags.get_int("retry-after-ms", 50);
   options.dispatch_threads = flags.get_int("dispatch-threads", 0);
-  options.mirror_queue_depth = static_cast<std::size_t>(
-      std::max(0, flags.get_int("mirror-queue-depth", 256)));
-  options.queue_depth = flags.get_int("queue-depth", 0);
-  options.queue_timeout_ms = flags.get_int("queue-timeout-ms", 250);
   router::Router router(options);
   for (std::size_t i = 0; i < backend_sockets.size(); ++i)
-    router.add_backend("backend" + std::to_string(i), backend_sockets[i],
-                       backend_weights[i]);
+    router.add_backend("backend" + std::to_string(i), backend_sockets[i]);
   if (supervised) {
     router.set_backend_info([&supervisor](const std::string& name) {
       std::ostringstream info;
@@ -820,11 +768,9 @@ constexpr Subcommand kSubcommands[] = {
      cmd_lint},
     {"serve", kServeFlags, cmd_serve},
     {"route",
-     "--socket /tmp/router.sock [--backends 2 | --backend-sockets "
-     "a[@w],b[@w]] [--backend-weights 1,2] [--replicas 2] "
-     "[--mirror-queue-depth 256] [--queue-depth 0] [--queue-timeout-ms 250] "
-     "[--vnodes 64] [--probe-interval-ms 200] [+ serve flags for spawned "
-     "backends; --cache-file gives each backend <file>.backendN]",
+     "--socket /tmp/router.sock [--backends 2 | --backend-sockets a,b] "
+     "[+ serve flags for spawned backends; --cache-file gives each backend "
+     "<file>.backendN]",
      cmd_route, kServeFlags},
     {"call",
      "--socket /tmp/router.sock [--retry] <request tokens...>",

@@ -107,34 +107,6 @@ PairwiseScores pairwise_scores(const std::vector<int>& truth,
   return s;
 }
 
-double normalized_mutual_information(const std::vector<int>& truth,
-                                     const std::vector<int>& predicted) {
-  const Contingency c = build_contingency(truth, predicted);
-  if (c.n == 0) return 1.0;
-  const double n = static_cast<double>(c.n);
-
-  double h_t = 0.0, h_p = 0.0, mi = 0.0;
-  for (const auto& [label, count] : c.row) {
-    const double p = count / n;
-    h_t -= p * std::log(p);
-  }
-  for (const auto& [label, count] : c.col) {
-    const double p = count / n;
-    h_p -= p * std::log(p);
-  }
-  for (const auto& [key, count] : c.cells) {
-    const int t = static_cast<int>(key >> 32);
-    const int p = static_cast<int>(key & 0xffffffffLL);
-    const double joint = count / n;
-    const double pt = c.row.at(t) / n;
-    const double pp = c.col.at(p) / n;
-    mi += joint * std::log(joint / (pt * pp));
-  }
-  const double norm = 0.5 * (h_t + h_p);
-  if (norm < 1e-12) return 1.0;  // both partitions trivial -> identical
-  return mi / norm;
-}
-
 VMeasure v_measure(const std::vector<int>& truth,
                    const std::vector<int>& predicted) {
   const Contingency c = build_contingency(truth, predicted);

@@ -3,8 +3,8 @@
 // The paper scores word recovery with the Adjusted Rand Index between the
 // predicted grouping of bits and the ground-truth grouping. We implement
 // ARI plus the companions a practitioner wants when debugging a grouping
-// method: plain Rand index, pairwise precision/recall/F1, and normalized
-// mutual information. All functions take two label vectors of equal length;
+// method: plain Rand index, pairwise precision/recall/F1, and the
+// V-measure. All functions take two label vectors of equal length;
 // label values are arbitrary ids (only equality matters).
 #pragma once
 
@@ -37,10 +37,6 @@ struct PairwiseScores {
 };
 PairwiseScores pairwise_scores(const std::vector<int>& truth,
                                const std::vector<int>& predicted);
-
-/// Normalized mutual information in [0, 1] (arithmetic-mean normalization).
-double normalized_mutual_information(const std::vector<int>& truth,
-                                     const std::vector<int>& predicted);
 
 /// Rosenberg & Hirschberg's V-measure family. Homogeneity penalizes
 /// predicted words mixing several true words (over-merging); completeness

@@ -82,22 +82,4 @@ std::string dot_string(const Netlist& netlist, const WordMap& words,
   return out.str();
 }
 
-std::string cone_dot_string(const ConeTree& tree) {
-  std::ostringstream out;
-  out << "digraph cone {\n  rankdir=TB;\n";
-  for (int i = 0; i < tree.size(); ++i) {
-    const ConeNode& node = tree.nodes[static_cast<std::size_t>(i)];
-    const std::string label =
-        node.is_leaf ? node.name : gate_type_name(node.type);
-    out << "  n" << i << " [label=" << quoted(label)
-        << (node.is_leaf ? ", shape=plaintext" : ", shape=ellipse")
-        << "];\n";
-  }
-  for (int i = 0; i < tree.size(); ++i)
-    for (int child : tree.nodes[static_cast<std::size_t>(i)].children)
-      out << "  n" << i << " -> n" << child << ";\n";
-  out << "}\n";
-  return out.str();
-}
-
 }  // namespace rebert::nl

@@ -1,14 +1,13 @@
-// Graphviz DOT export for netlists and cones.
+// Graphviz DOT export for netlists.
 //
 // Visual inspection is half of reverse engineering; this writes the
-// netlist (or one bit's fan-in cone) as a DOT digraph with word groupings
-// rendered as clusters, ready for `dot -Tsvg`.
+// netlist as a DOT digraph with word groupings rendered as clusters,
+// ready for `dot -Tsvg`.
 #pragma once
 
 #include <iosfwd>
 #include <string>
 
-#include "nl/cone.h"
 #include "nl/netlist.h"
 #include "nl/words.h"
 
@@ -25,8 +24,5 @@ void write_dot(const Netlist& netlist, const WordMap& words,
                std::ostream& out, const DotOptions& options = {});
 std::string dot_string(const Netlist& netlist, const WordMap& words,
                        const DotOptions& options = {});
-
-/// One extracted cone as a tree.
-std::string cone_dot_string(const ConeTree& tree);
 
 }  // namespace rebert::nl

@@ -27,7 +27,7 @@ RecoveryArtifacts recover_words_detailed(const nl::Netlist& netlist,
   phase.reset();
   ShardedPredictionCache* cache =
       options.use_prediction_cache ? options.external_cache : nullptr;
-  if (cache) cache->bind(model.fingerprint());
+  if (cache) cache->bind(scorer_fingerprint(model, options.tokenizer));
   const std::uint64_t hits_before = cache ? cache->hits() : 0;
   const std::uint64_t misses_before = cache ? cache->misses() : 0;
   ScoringOptions scoring;

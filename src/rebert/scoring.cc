@@ -10,6 +10,7 @@
 #include "runtime/parallel_for.h"
 #include "runtime/threads.h"
 #include "util/check.h"
+#include "util/fnv1a.h"
 
 namespace rebert::core {
 
@@ -24,6 +25,13 @@ auto edge_at(Edges& edges, std::uint64_t key) {
 }
 
 }  // namespace
+
+std::uint64_t scorer_fingerprint(const bert::BertPairClassifier& model,
+                                 const TokenizerOptions& tokenizer) {
+  const std::uint64_t budget =
+      static_cast<std::uint64_t>(tokenizer.max_seq_len);
+  return util::fnv1a_update(model.fingerprint(), &budget, sizeof(budget));
+}
 
 ScoreMatrix::ScoreMatrix(int n) {
   REBERT_CHECK_MSG(n >= 1, "score matrix needs at least one bit");

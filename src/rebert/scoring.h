@@ -48,6 +48,14 @@ struct KeyedSequence {
   std::uint64_t key_prefix = 0;
 };
 
+/// The identity a prediction cache binds to (ShardedPredictionCache::bind):
+/// the model's fingerprint (weights, config, kernel backend) with the
+/// tokenizer's pair budget folded in. TokenizerOptions::max_seq_len
+/// truncates every longer pair in encode_pair, so it changes scores that
+/// PredictionCache::key_of (the full sequences) cannot tell apart.
+std::uint64_t scorer_fingerprint(const bert::BertPairClassifier& model,
+                                 const TokenizerOptions& tokenizer);
+
 /// The one pairwise scorer behind recover and score: for pair k = (a, b),
 /// out[k] = P(same word | sequences[a], sequences[b]). With a cache that is
 /// one lookup under PredictionCache::key_of, and on a miss one encode_pair

@@ -1,16 +1,11 @@
 #include "router/hash_ring.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/check.h"
 #include "util/fnv1a.h"
 
 namespace rebert::router {
-
-HashRing::HashRing(int vnodes) : vnodes_(vnodes) {
-  REBERT_CHECK_MSG(vnodes >= 1, "hash ring needs at least 1 vnode");
-}
 
 std::uint64_t HashRing::hash(const std::string& text) {
   std::uint64_t h = util::fnv1a(text);  // FNV-1a over the bytes...
@@ -26,36 +21,24 @@ std::uint64_t HashRing::hash(const std::string& text) {
   return h;
 }
 
-void HashRing::add(const std::string& node, double weight) {
+void HashRing::add(const std::string& node) {
   REBERT_CHECK_MSG(!node.empty(), "hash ring member name must be non-empty");
-  REBERT_CHECK_MSG(weight > 0.0 && std::isfinite(weight),
-                   "hash ring weight must be finite and positive");
-  if (members_.count(node) > 0) return;
-  // Weight scales the virtual point count; the floor of 1 keeps even a
-  // tiny-weight member addressable (a zero-point member would silently own
-  // nothing while claiming membership).
-  const int points = std::max(
-      1, static_cast<int>(std::lround(weight * vnodes_)));
-  for (int k = 0; k < points; ++k) {
+  if (!members_.insert(node).second) return;
+  for (int k = 0; k < kVnodes; ++k) {
     const std::uint64_t point = hash(node + "#" + std::to_string(k));
     // A 64-bit collision between distinct (node, k) pairs is vanishingly
     // rare; first-comer keeps the point so placement stays order-free for
     // all practical member sets.
     ring_.emplace(point, node);
   }
-  // Remember the REQUESTED point count (not the deduped insert count):
-  // remove() re-derives the same hash sequence from it.
-  members_[node] = points;
 }
 
 void HashRing::remove(const std::string& node) {
-  const auto member = members_.find(node);
-  if (member == members_.end()) return;
-  for (int k = 0; k < member->second; ++k) {
+  if (members_.erase(node) == 0) return;
+  for (int k = 0; k < kVnodes; ++k) {
     const auto it = ring_.find(hash(node + "#" + std::to_string(k)));
     if (it != ring_.end() && it->second == node) ring_.erase(it);
   }
-  members_.erase(member);
 }
 
 bool HashRing::contains(const std::string& node) const {
@@ -90,15 +73,7 @@ std::vector<std::string> HashRing::owners(const std::string& key,
 }
 
 std::vector<std::string> HashRing::nodes() const {
-  std::vector<std::string> names;
-  names.reserve(members_.size());
-  for (const auto& [name, points] : members_) names.push_back(name);
-  return names;
-}
-
-int HashRing::points_of(const std::string& node) const {
-  const auto it = members_.find(node);
-  return it == members_.end() ? 0 : it->second;
+  return {members_.begin(), members_.end()};
 }
 
 }  // namespace rebert::router

@@ -1,9 +1,9 @@
 // Consistent-hash ring — the placement function of the router tier.
 //
-// Each backend is inserted as `vnodes` virtual points on a 64-bit ring
+// Each backend is inserted as kVnodes virtual points on a 64-bit ring
 // (FNV-1a of "name#k" folded through an avalanche finalizer); a key (a
-// bench name) maps to the first virtual point clockwise from its own hash. Properties the router and its tests
-// rely on:
+// bench name) maps to the first virtual point clockwise from its own hash.
+// Properties the router and its tests rely on:
 //
 //   * Deterministic: placement is a pure function of the member set — no
 //     randomness, no dependence on insertion order or wall clock — so two
@@ -21,17 +21,13 @@
 // changes when one of the two leaves or a joiner lands between them —
 // the same minimal-movement property, per replica slot.
 //
-// Heterogeneous backends: add(node, weight) scales the member's virtual
-// point count, so a weight-2 machine owns about twice the key share of a
-// weight-1 machine. Weights only shape shares; every property above is
-// unchanged.
-//
 // Not thread-safe by design: the Router serializes mutation and lookup
 // behind its own mutex, and tests drive it single-threaded.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -39,16 +35,15 @@ namespace rebert::router {
 
 class HashRing {
  public:
-  /// `vnodes` virtual points per unit of member weight. More points
-  /// smooth the key distribution at the cost of a bigger ring map; 64
-  /// keeps the largest backend's share within ~2x of the smallest on
-  /// realistic member counts.
-  explicit HashRing(int vnodes = 64);
+  /// Virtual points per member. More points smooth the key distribution
+  /// at the cost of a bigger ring map; 64 keeps the largest backend's
+  /// share within ~2x of the smallest on realistic member counts. Every
+  /// placement (and each backend's snapshot shard) depends on it.
+  static constexpr int kVnodes = 64;
 
-  /// Insert a backend with `weight` x vnodes virtual points (minimum 1).
-  /// Adding a member twice is a no-op — including with a different
-  /// weight; remove first to re-weigh.
-  void add(const std::string& node, double weight = 1.0);
+  /// Insert a backend with kVnodes virtual points. Adding a member twice
+  /// is a no-op.
+  void add(const std::string& node);
 
   /// Remove a backend (no-op when absent). Keys it owned redistribute to
   /// the survivors; nobody else's keys move.
@@ -68,10 +63,6 @@ class HashRing {
   /// Current members, sorted by name.
   std::vector<std::string> nodes() const;
 
-  /// Virtual points a member was inserted with (0 when absent) — how
-  /// weighted shares are audited.
-  int points_of(const std::string& node) const;
-
   std::size_t num_nodes() const { return members_.size(); }
   bool empty() const { return members_.empty(); }
 
@@ -80,9 +71,8 @@ class HashRing {
   static std::uint64_t hash(const std::string& text);
 
  private:
-  int vnodes_;
   std::map<std::uint64_t, std::string> ring_;  // point -> backend name
-  std::map<std::string, int> members_;         // name -> points requested
+  std::set<std::string> members_;
 };
 
 }  // namespace rebert::router

@@ -1,6 +1,5 @@
 #include "router/router.h"
 
-#include <algorithm>
 #include <chrono>
 #include <exception>
 #include <sstream>
@@ -15,6 +14,21 @@
 namespace rebert::router {
 
 namespace {
+
+/// Owners per key: the primary answers, the secondary is mirror-warmed.
+constexpr int kReplicas = 2;
+/// Health probe cadence of the background prober.
+constexpr int kProbeIntervalMs = 200;
+/// Placement passes per request: each pass re-snapshots the owner list
+/// (the ring shrinks as dead owners are marked) and tries every owner once
+/// before the request is refused.
+constexpr int kForwardAttempts = 3;
+/// Bound on the async mirror queue; an enqueue beyond it is dropped and
+/// counted (`mirror_dropped`) — mirroring must never apply backpressure to
+/// the answer path.
+constexpr std::size_t kMirrorQueueDepth = 256;
+/// Idle connections retained per backend pool.
+constexpr std::size_t kPoolMaxIdle = 8;
 
 /// One line, no trailing newline — same discipline as ServeLoop.
 std::string single_line(std::string text) {
@@ -38,8 +52,7 @@ Router::Router(RouterOptions options)
             return serve::format_overloaded(options_.retry_after_ms);
           },
           /*on_answered=*/nullptr,
-          /*on_shutdown=*/nullptr}),
-      ring_(options_.vnodes) {
+          /*on_shutdown=*/nullptr}) {
   if (options_.dispatch_threads > 0)
     socket_server_.set_dispatch_threads(options_.dispatch_threads);
   start_mirror();
@@ -51,22 +64,21 @@ Router::~Router() {
 }
 
 void Router::add_backend(const std::string& name,
-                         const std::string& socket_path, double weight) {
+                         const std::string& socket_path) {
   util::MutexLock lock(mu_);
   REBERT_CHECK_MSG(backends_.find(name) == backends_.end(),
                    "duplicate backend '" + name + "'");
   auto backend = std::make_unique<Backend>();
   backend->name = name;
   backend->socket_path = socket_path;
-  backend->weight = weight;
   backend->pool = std::make_unique<serve::ClientPool>(
-      socket_path, options_.client, options_.pool_max_idle);
-  // Ring first: add() validates the weight, and a throw must leave the
+      socket_path, options_.client, kPoolMaxIdle);
+  // Ring first: add() validates the name, and a throw must leave the
   // backend map untouched.
-  ring_.add(name, weight);
+  ring_.add(name);
   backends_.emplace(name, std::move(backend));
   LOG_INFO << "router: backend " << name << " at " << socket_path
-           << " joined the ring (weight " << weight << ")";
+           << " joined the ring";
 }
 
 bool Router::drain(const std::string& name) {
@@ -85,7 +97,7 @@ bool Router::undrain(const std::string& name) {
   if (it == backends_.end()) return false;
   it->second->drained.store(false, std::memory_order_relaxed);
   if (it->second->healthy.load(std::memory_order_relaxed))
-    ring_.add(name, it->second->weight);
+    ring_.add(name);
   LOG_INFO << "router: backend " << name << " undrained";
   return true;
 }
@@ -97,7 +109,7 @@ std::string Router::backend_for(const std::string& bench) const {
 
 std::vector<std::string> Router::owners_for(const std::string& bench) const {
   util::MutexLock lock(mu_);
-  return ring_.owners(bench, std::max(1, options_.replicas));
+  return ring_.owners(bench, kReplicas);
 }
 
 void Router::set_backend_info(
@@ -128,7 +140,7 @@ void Router::revive(const std::string& name) {
   if (it->second->healthy.exchange(true, std::memory_order_relaxed))
     return;  // was already healthy
   if (!it->second->drained.load(std::memory_order_relaxed))
-    ring_.add(name, it->second->weight);
+    ring_.add(name);
   backends_revived_.fetch_add(1, std::memory_order_relaxed);
   LOG_INFO << "router: backend " << name << " revived; key range restored";
 }
@@ -162,8 +174,7 @@ std::vector<Router::Backend*> Router::snapshot_owners(
     const std::string& bench) {
   util::MutexLock lock(mu_);
   for (;;) {
-    const std::vector<std::string> names =
-        ring_.owners(bench, std::max(1, options_.replicas));
+    const std::vector<std::string> names = ring_.owners(bench, kReplicas);
     std::vector<Backend*> owners;
     owners.reserve(names.size());
     bool diverged = false;
@@ -185,97 +196,50 @@ std::vector<Router::Backend*> Router::snapshot_owners(
   }
 }
 
-bool Router::acquire_queue_slot() {
-  int current = queue_len_.load(std::memory_order_relaxed);
-  while (current < options_.queue_depth) {
-    if (queue_len_.compare_exchange_weak(current, current + 1,
-                                         std::memory_order_relaxed))
-      return true;
-  }
-  return false;
-}
-
 std::string Router::forward(const std::string& line, const std::string& bench,
                             bool mirrorable) {
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::milliseconds(options_.queue_timeout_ms);
-  bool parked = false;
-  bool saw_shed = false;
   std::string last_shed;
-  const auto leave = [&](std::string reply) {
-    if (parked) queue_len_.fetch_sub(1, std::memory_order_relaxed);
-    return reply;
-  };
-  for (;;) {
-    // One placement round: walk the owner list in failover order. A dead
-    // owner shrinks the ring (mark_unhealthy) and earns another pass over
-    // the re-snapshotted list; a shed answer is remembered and the next —
-    // mirror-warmed — owner is tried instead.
-    for (int attempt = 0; attempt < options_.forward_attempts; ++attempt) {
-      const std::vector<Backend*> owners = snapshot_owners(bench);
-      if (owners.empty()) break;  // ring empty: park or refuse below
-      bool ring_changed = false;
-      for (std::size_t i = 0; i < owners.size(); ++i) {
-        std::string reply;
-        if (!try_backend(*owners[i], line, &reply)) {
-          mark_unhealthy(owners[i]->name);
-          reroutes_.fetch_add(1, std::memory_order_relaxed);
-          ring_changed = true;
-          continue;
-        }
-        if (util::starts_with(reply, "err overloaded")) {
-          saw_shed = true;
-          last_shed = std::move(reply);  // freshest advisory wins
-          continue;
-        }
-        forwarded_.fetch_add(1, std::memory_order_relaxed);
-        if (i > 0) replica_hits_.fetch_add(1, std::memory_order_relaxed);
-        if (mirrorable) enqueue_mirror(line, owners, i);
-        return leave(std::move(reply));
+  // Walk the owner list in failover order. A dead owner shrinks the ring
+  // (mark_unhealthy) and earns another pass over the re-snapshotted list;
+  // a shed answer is remembered and the next — mirror-warmed — owner is
+  // tried instead.
+  for (int attempt = 0; attempt < kForwardAttempts; ++attempt) {
+    const std::vector<Backend*> owners = snapshot_owners(bench);
+    if (owners.empty()) break;  // ring empty: refuse below
+    bool ring_changed = false;
+    for (std::size_t i = 0; i < owners.size(); ++i) {
+      std::string reply;
+      if (!try_backend(*owners[i], line, &reply)) {
+        mark_unhealthy(owners[i]->name);
+        reroutes_.fetch_add(1, std::memory_order_relaxed);
+        ring_changed = true;
+        continue;
       }
-      // Every live owner shed: re-walking the same list immediately would
-      // spin, so fall through to the park queue (or the passthrough).
-      if (!ring_changed) break;
-    }
-    if (options_.queue_depth <= 0) {
-      if (saw_shed) {
-        // Saturation, not absence: relay the backend's own advisory.
-        forwarded_.fetch_add(1, std::memory_order_relaxed);
-        return leave(std::move(last_shed));
+      if (util::starts_with(reply, "err overloaded")) {
+        last_shed = std::move(reply);  // freshest advisory wins
+        continue;
       }
-      no_backend_errors_.fetch_add(1, std::memory_order_relaxed);
-      return leave(serve::format_no_backend(options_.retry_after_ms));
+      forwarded_.fetch_add(1, std::memory_order_relaxed);
+      if (i > 0) replica_hits_.fetch_add(1, std::memory_order_relaxed);
+      if (mirrorable) enqueue_mirror(line, owners, i);
+      return reply;
     }
-    if (!parked) {
-      // Bounded: a full queue sheds at the door with the router's advisory.
-      if (!acquire_queue_slot())
-        return leave(serve::format_overloaded(options_.retry_after_ms));
-      parked = true;
-      queued_.fetch_add(1, std::memory_order_relaxed);
-    }
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) {
-      queued_timeouts_.fetch_add(1, std::memory_order_relaxed);
-      if (saw_shed) {
-        forwarded_.fetch_add(1, std::memory_order_relaxed);
-        return leave(std::move(last_shed));
-      }
-      return leave(serve::format_error("deadline_exceeded"));
-    }
-    const auto remaining =
-        std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now)
-            .count();
-    std::this_thread::sleep_for(std::chrono::milliseconds(std::min<long long>(
-        remaining,
-        static_cast<long long>(std::max(1, options_.queue_poll_ms)))));
+    // Every live owner shed: re-walking the same list immediately would
+    // spin, so refuse.
+    if (!ring_changed) break;
   }
+  if (!last_shed.empty()) {
+    // Saturation, not absence: relay the backend's own advisory.
+    forwarded_.fetch_add(1, std::memory_order_relaxed);
+    return last_shed;
+  }
+  no_backend_errors_.fetch_add(1, std::memory_order_relaxed);
+  return serve::format_no_backend(options_.retry_after_ms);
 }
 
 void Router::enqueue_mirror(const std::string& line,
                             const std::vector<Backend*>& owners,
                             std::size_t answered) {
-  if (options_.mirror_queue_depth == 0 || options_.replicas <= 1) return;
   // Warm the first live owner that did not answer (normally the secondary;
   // the primary itself when a failover answered from the secondary).
   Backend* target = nullptr;
@@ -290,7 +254,7 @@ void Router::enqueue_mirror(const std::string& line,
   if (target == nullptr) return;  // nobody to warm — nothing was lost
   util::MutexLock lock(mirror_mu_);
   if (mirror_stop_) return;
-  if (mirror_queue_.size() >= options_.mirror_queue_depth) {
+  if (mirror_queue_.size() >= kMirrorQueueDepth) {
     // Drop, never block: mirroring is strictly best-effort and must not
     // apply backpressure to the answer path.
     mirror_dropped_.fetch_add(1, std::memory_order_relaxed);
@@ -360,7 +324,6 @@ bool Router::wait_mirror_idle(int timeout_ms) {
 }
 
 void Router::start_mirror() {
-  if (options_.mirror_queue_depth == 0 || options_.replicas <= 1) return;
   mirror_worker_ = std::thread([this] { mirror_loop(); });
 }
 
@@ -429,7 +392,6 @@ std::string Router::format_backends() const {
   out << "backends=" << backends_.size();
   for (const auto& [name, backend] : backends_) {
     out << " | name=" << name << " path=" << backend->socket_path
-        << " weight=" << backend->weight
         << " healthy=" << (backend->healthy.load(std::memory_order_relaxed)
                                ? 1 : 0)
         << " drained=" << (backend->drained.load(std::memory_order_relaxed)
@@ -464,8 +426,6 @@ RouterStats Router::stats() const {
   stats.replica_hits = replica_hits_.load(std::memory_order_relaxed);
   stats.mirrored = mirrored_.load(std::memory_order_relaxed);
   stats.mirror_dropped = mirror_dropped_.load(std::memory_order_relaxed);
-  stats.queued = queued_.load(std::memory_order_relaxed);
-  stats.queued_timeouts = queued_timeouts_.load(std::memory_order_relaxed);
   stats.no_backend_errors =
       no_backend_errors_.load(std::memory_order_relaxed);
   stats.probes = probes_.load(std::memory_order_relaxed);
@@ -488,14 +448,12 @@ std::string Router::format_stats() const {
   std::ostringstream out;
   out << "role=router backends=" << stats.backends_total
       << " healthy=" << stats.backends_healthy
-      << " replicas=" << options_.replicas
+      << " replicas=" << kReplicas
       << " forwarded=" << stats.forwarded
       << " reroutes=" << stats.reroutes
       << " replica_hits=" << stats.replica_hits
       << " mirrored=" << stats.mirrored
       << " mirror_dropped=" << stats.mirror_dropped
-      << " queued=" << stats.queued
-      << " queued_timeouts=" << stats.queued_timeouts
       << " no_backend_errors=" << stats.no_backend_errors
       << " probes=" << stats.probes
       << " backends_failed=" << stats.backends_failed
@@ -515,9 +473,7 @@ std::string Router::format_health() const {
       << " healthy=" << stats.backends_healthy
       << " reroutes=" << stats.reroutes
       << " replica_hits=" << stats.replica_hits
-      << " mirror_dropped=" << stats.mirror_dropped
-      << " queued=" << stats.queued
-      << " queued_timeouts=" << stats.queued_timeouts;
+      << " mirror_dropped=" << stats.mirror_dropped;
   return out.str();
 }
 
@@ -558,14 +514,13 @@ void Router::probe_once() {
 }
 
 void Router::start_probes() {
-  if (options_.probe_interval_ms <= 0) return;
   if (probing_.exchange(true, std::memory_order_relaxed)) return;
   prober_ = std::thread([this] {
     while (probing_.load(std::memory_order_relaxed)) {
       probe_once();
       // Sleep in small slices so stop_probes() is honoured promptly even
       // with a long probe interval.
-      int remaining = options_.probe_interval_ms;
+      int remaining = kProbeIntervalMs;
       while (remaining > 0 && probing_.load(std::memory_order_relaxed)) {
         const int slice = remaining < 20 ? remaining : 20;
         std::this_thread::sleep_for(std::chrono::milliseconds(slice));

@@ -11,30 +11,20 @@
 // scores) to one backend, which is what makes the fan-out scale: no
 // backend pays for benches it never sees.
 //
-// Replicated placement (replicas = R, default 2): every request goes to
-// the key's PRIMARY owner, and each ok-answered score is additionally
-// enqueued on a bounded mirror queue and replayed — asynchronously, best
-// effort, never blocking the answer — against the SECONDARY owner, so the
-// replica's prediction cache and bench contexts stay warm. When the
-// primary is unreachable (probe-dead, stale pooled connection, fresh
-// connect refused) the router marks it unhealthy and fails over to the
-// next owner in ring order — which the mirror kept warm — instead of
-// answering `no_backend`; when the primary merely answers `err
-// overloaded`, the secondary is tried too (`replica_hits` counts answers
-// served by a non-primary owner, `mirrored` / `mirror_dropped` audit the
-// mirror queue).
-//
-// Queue-with-timeout (queue_depth > 0): the middle ground between forward
-// and shed. A request that found no owner able to answer — every owner
-// saturated, or the whole ring briefly dead during a restart — parks in a
-// bounded router-side queue and re-attempts placement until
-// queue_timeout_ms elapses: it rides out a backend respawn or an
-// admission spike invisibly. On expiry it answers the last backend shed
-// advisory (`err overloaded retry_after_ms=<n>`) when owners were alive
-// but saturated, `err deadline_exceeded` otherwise; when the queue itself
-// is full the request is shed immediately with the router's advisory.
-// queue_depth = 0 (default) disables parking — refusals are immediate,
-// exactly the pre-queue behaviour.
+// Replicated placement (R = 2): every request goes to the key's PRIMARY
+// owner, and each ok-answered score is additionally enqueued on a bounded
+// mirror queue and replayed — asynchronously, best effort, never blocking
+// the answer — against the SECONDARY owner, so the replica's prediction
+// cache and bench contexts stay warm. When the primary is unreachable
+// (probe-dead, stale pooled connection, fresh connect refused) the router
+// marks it unhealthy and fails over to the next owner in ring order —
+// which the mirror kept warm — instead of answering `no_backend`; when the
+// primary merely answers `err overloaded`, the secondary is tried too
+// (`replica_hits` counts answers served by a non-primary owner, `mirrored`
+// / `mirror_dropped` audit the mirror queue). When no owner answers, the
+// request is refused at once: with the freshest backend shed advisory
+// (`err overloaded retry_after_ms=<n>`) when an owner shed, otherwise with
+// `err no_backend`.
 //
 // Health: a backend whose connection dies mid-request is retried once on a
 // fresh socket (pooled connections go stale when a backend restarts), then
@@ -43,7 +33,7 @@
 // prober sends `health` to every backend each probe interval, evicting
 // newly dead backends and re-adding revived ones, so a restarted worker
 // re-takes exactly its old key range (consistent hashing is deterministic
-// in the node name and weight).
+// in the node name).
 //
 // Admin verbs (answered locally, never forwarded):
 //   backends            one line listing each backend's name, path, state
@@ -72,41 +62,14 @@
 namespace rebert::router {
 
 struct RouterOptions {
-  /// Virtual nodes per unit of backend weight on the ring (hash_ring.h).
-  int vnodes = 64;
-  /// Replication factor R: a key's request goes to owner 0 and fails over
-  /// down the owner list; ok-answered scores are mirrored to owner 1.
-  /// 1 restores single-owner placement (no failover, no mirroring).
-  int replicas = 2;
-  /// Health probe cadence; <= 0 disables the prober thread.
-  int probe_interval_ms = 200;
-  /// Placement passes per request: each pass re-snapshots the owner list
-  /// (the ring shrinks as dead owners are marked) and tries every owner
-  /// once before the request parks or is refused.
-  int forward_attempts = 3;
   /// Advisory backoff on router-generated refusals (no backend available,
-  /// connection cap, full park queue). Backend-generated overloads pass
-  /// through with the backend's own value.
+  /// connection cap). Backend-generated overloads pass through with the
+  /// backend's own value.
   int retry_after_ms = 50;
-  /// Bound on the async mirror queue; an enqueue beyond it is dropped and
-  /// counted (`mirror_dropped`) — mirroring must never apply backpressure
-  /// to the answer path. 0 disables mirroring entirely.
-  std::size_t mirror_queue_depth = 256;
-  /// Requests allowed to park in the queue-with-timeout at once; 0
-  /// (default) disables parking — refusals are immediate.
-  int queue_depth = 0;
-  /// How long a parked request keeps re-attempting placement before it
-  /// expires (`err deadline_exceeded` / relayed shed advisory).
-  int queue_timeout_ms = 250;
-  /// Re-attempt cadence while parked.
-  int queue_poll_ms = 5;
   /// ClientOptions for every backend link (connect budget, request retry).
   serve::ClientOptions client;
-  /// Idle connections retained per backend pool.
-  std::size_t pool_max_idle = 8;
   /// Dispatch-pool threads in the router's SocketServer. Forwarding
-  /// blocks a pool thread on backend I/O (and a parked request occupies
-  /// one for up to queue_timeout_ms), so this bounds concurrent
+  /// blocks a pool thread on backend I/O, so this bounds concurrent
   /// forwards; <= 0 keeps the SocketServer default.
   int dispatch_threads = 0;
 };
@@ -117,8 +80,6 @@ struct RouterStats {
   std::uint64_t replica_hits = 0;      // answered by a non-primary owner
   std::uint64_t mirrored = 0;          // mirror replays answered ok
   std::uint64_t mirror_dropped = 0;    // mirror enqueues/replays lost
-  std::uint64_t queued = 0;            // requests that parked in the queue
-  std::uint64_t queued_timeouts = 0;   // parked requests that expired
   std::uint64_t no_backend_errors = 0; // ring empty / attempts exhausted
   std::uint64_t probes = 0;            // health probes sent
   std::uint64_t backends_failed = 0;   // transitions healthy -> unhealthy
@@ -136,11 +97,9 @@ class Router {
   Router& operator=(const Router&) = delete;
 
   /// Register a backend worker reachable at `socket_path` and place it on
-  /// the ring with `weight` x vnodes virtual points (heterogeneous
-  /// machines get proportional key shares). Names must be unique; throws
-  /// util::CheckError on a dup or non-positive weight.
-  void add_backend(const std::string& name, const std::string& socket_path,
-                   double weight = 1.0) EXCLUDES(mu_);
+  /// the ring. Names must be unique; throws util::CheckError on a dup.
+  void add_backend(const std::string& name, const std::string& socket_path)
+      EXCLUDES(mu_);
 
   /// Remove / restore a backend's ring membership without forgetting it.
   /// Unknown names return false.
@@ -153,12 +112,11 @@ class Router {
   std::string handle_line(const std::string& line, bool* quit);
 
   /// The backend name currently owning `bench`, "" when the ring is empty.
-  /// What the placement tests and the kill-drill assert against.
+  /// What the placement tests assert against.
   std::string backend_for(const std::string& bench) const EXCLUDES(mu_);
 
   /// The bench's owner list in failover order (owners_for(b)[0] ==
-  /// backend_for(b)); at most `replicas` names, fewer when the ring is
-  /// smaller.
+  /// backend_for(b)); at most two names, fewer when the ring is smaller.
   std::vector<std::string> owners_for(const std::string& bench) const
       EXCLUDES(mu_);
 
@@ -168,9 +126,8 @@ class Router {
   void set_backend_info(std::function<std::string(const std::string&)> info)
       EXCLUDES(mu_);
 
-  /// Start / stop the background health prober (no-op when
-  /// probe_interval_ms <= 0). stop_probes() is idempotent and also runs on
-  /// destruction.
+  /// Start / stop the background health prober. stop_probes() is
+  /// idempotent and also runs on destruction.
   void start_probes();
   void stop_probes();
 
@@ -181,8 +138,9 @@ class Router {
 
   /// Block until the mirror queue is empty and the in-flight replay (if
   /// any) finished, or `timeout_ms` elapsed; true when drained. What the
-  /// failover tests and the kill-drill call between "prime" and "kill" so
-  /// warmth assertions do not race the async mirror.
+  /// failover tests (RouterFailoverTest.DeadPrimaryFailsOverWarmInOneDispatch)
+  /// call between "prime" and "kill" so warmth assertions do not race the
+  /// async mirror.
   bool wait_mirror_idle(int timeout_ms) EXCLUDES(mirror_mu_);
 
   RouterStats stats() const EXCLUDES(mu_);
@@ -196,7 +154,6 @@ class Router {
   struct Backend {
     std::string name;
     std::string socket_path;
-    double weight = 1.0;
     std::unique_ptr<serve::ClientPool> pool;
     std::atomic<bool> healthy{true};
     std::atomic<bool> drained{false};
@@ -208,8 +165,8 @@ class Router {
     std::string line;
   };
 
-  /// Forward `line` to the owners of `bench`: owner-list failover, mirror
-  /// enqueue (when `mirrorable`), queue-with-timeout parking.
+  /// Forward `line` to the owners of `bench`: owner-list failover and
+  /// mirror enqueue (when `mirrorable`).
   std::string forward(const std::string& line, const std::string& bench,
                       bool mirrorable) EXCLUDES(mu_);
 
@@ -235,8 +192,6 @@ class Router {
   void mirror_loop() EXCLUDES(mirror_mu_);
   /// Replay one mirror item; true when the target answered ok.
   bool replay_mirror(const MirrorItem& item) EXCLUDES(mu_);
-
-  bool acquire_queue_slot();
 
   void mark_unhealthy(const std::string& name) EXCLUDES(mu_);
   void revive(const std::string& name) EXCLUDES(mu_);
@@ -270,15 +225,11 @@ class Router {
   bool mirror_busy_ GUARDED_BY(mirror_mu_) = false;
   std::thread mirror_worker_;
 
-  std::atomic<int> queue_len_{0};  // live occupancy of the park queue
-
   std::atomic<std::uint64_t> forwarded_{0};
   std::atomic<std::uint64_t> reroutes_{0};
   std::atomic<std::uint64_t> replica_hits_{0};
   std::atomic<std::uint64_t> mirrored_{0};
   std::atomic<std::uint64_t> mirror_dropped_{0};
-  std::atomic<std::uint64_t> queued_{0};
-  std::atomic<std::uint64_t> queued_timeouts_{0};
   std::atomic<std::uint64_t> no_backend_errors_{0};
   std::atomic<std::uint64_t> probes_{0};
   std::atomic<std::uint64_t> backends_failed_{0};

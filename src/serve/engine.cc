@@ -46,7 +46,8 @@ InferenceEngine::InferenceEngine(EngineOptions options)
       pool_(std::max(
           1, runtime::resolve_thread_count(options_.num_threads) - 1)),
       registry_(manifest_for(options_),
-                core::make_model_config(options_.experiment), &cache_) {
+                core::make_model_config(options_.experiment),
+                options_.experiment.pipeline.tokenizer, &cache_) {
   if (options_.manifest_path.empty() && options_.model_path.empty()) {
     LOG_WARN << "serve: no --model given; using untrained weights "
                 "(scores exercise the runtime, not the paper's accuracy)";

@@ -5,6 +5,7 @@
 #include <sstream>
 #include <utility>
 
+#include "rebert/scoring.h"
 #include "util/check.h"
 #include "util/logging.h"
 
@@ -84,6 +85,7 @@ ModelManifest parse_model_manifest(const std::string& path) {
 
 ModelRegistry::ModelRegistry(const ModelManifest& manifest,
                              const bert::BertConfig& config,
+                             const core::TokenizerOptions& tokenizer,
                              core::ShardedPredictionCache* default_cache) {
   for (std::size_t i = 0; i < manifest.models.size(); ++i) {
     const ModelSpec& spec = manifest.models[i];
@@ -111,11 +113,12 @@ ModelRegistry::ModelRegistry(const ModelManifest& manifest,
       entry->owned_cache = std::make_unique<core::ShardedPredictionCache>();
       entry->cache = entry->owned_cache.get();
     }
-    // Bound before any warm start, so a snapshot of another model or
-    // kernel backend is refused instead of served. (An entry whose
-    // checkpoint failed never reads its cache; its weights have no
+    // Bound before any warm start, so a snapshot of another model, kernel
+    // backend or token budget is refused instead of served. (An entry
+    // whose checkpoint failed never reads its cache; its weights have no
     // fingerprint.)
-    if (entry->load_ok) entry->cache->bind(entry->model->fingerprint());
+    if (entry->load_ok)
+      entry->cache->bind(core::scorer_fingerprint(*entry->model, tokenizer));
     entries_.push_back(std::move(entry));
   }
 }

@@ -43,6 +43,7 @@
 #include "bert/config.h"
 #include "bert/model.h"
 #include "rebert/prediction_cache.h"
+#include "rebert/tokenizer.h"
 
 namespace rebert::serve {
 
@@ -91,8 +92,10 @@ class ModelRegistry {
   /// `config` (a manifest mixing architectures would need per-entry
   /// configs; checkpoints of the wrong shape fail to load and mark the
   /// entry unhealthy instead). The default entry's cache is
-  /// `default_cache`; every other entry gets its own.
+  /// `default_cache`; every other entry gets its own. Each entry's cache
+  /// is bound to core::scorer_fingerprint of its model and `tokenizer`.
   ModelRegistry(const ModelManifest& manifest, const bert::BertConfig& config,
+                const core::TokenizerOptions& tokenizer,
                 core::ShardedPredictionCache* default_cache);
 
   ModelRegistry(const ModelRegistry&) = delete;

@@ -58,15 +58,6 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b) {
   return c;
 }
 
-Tensor transpose(const Tensor& a) {
-  check_matrix(a, "transpose");
-  const int m = a.dim(0), n = a.dim(1);
-  Tensor t({n, m});
-  for (int i = 0; i < m; ++i)
-    for (int j = 0; j < n; ++j) t.at(j, i) = a.at(i, j);
-  return t;
-}
-
 Tensor add(const Tensor& a, const Tensor& b) {
   check_same_shape(a, b, "add");
   Tensor c = a;
@@ -136,20 +127,6 @@ Tensor tanh_backward(const Tensor& dy, const Tensor& y) {
   Tensor dx = dy;
   for (std::int64_t i = 0; i < dx.numel(); ++i)
     dx[i] = dy[i] * (1.0f - y[i] * y[i]);
-  return dx;
-}
-
-Tensor relu(const Tensor& x) {
-  Tensor y = x;
-  for (std::int64_t i = 0; i < y.numel(); ++i) y[i] = x[i] > 0 ? x[i] : 0.0f;
-  return y;
-}
-
-Tensor relu_backward(const Tensor& dy, const Tensor& x) {
-  check_same_shape(dy, x, "relu_backward");
-  Tensor dx = dy;
-  for (std::int64_t i = 0; i < dx.numel(); ++i)
-    dx[i] = x[i] > 0 ? dy[i] : 0.0f;
   return dx;
 }
 

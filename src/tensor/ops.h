@@ -18,8 +18,6 @@ Tensor matmul_tn(const Tensor& a, const Tensor& b);
 /// C = A[m,k] * B^T[n,k]  (result [m,n]).
 Tensor matmul_nt(const Tensor& a, const Tensor& b);
 
-Tensor transpose(const Tensor& a);  // 2-D
-
 // ---- elementwise -----------------------------------------------------------
 
 Tensor add(const Tensor& a, const Tensor& b);
@@ -43,9 +41,6 @@ Tensor gelu_backward(const Tensor& dy, const Tensor& x);
 Tensor tanh_forward(const Tensor& x);
 /// dx = dy * (1 - y^2); `y` is the forward output.
 Tensor tanh_backward(const Tensor& dy, const Tensor& y);
-
-Tensor relu(const Tensor& x);
-Tensor relu_backward(const Tensor& dy, const Tensor& x);
 
 // ---- softmax / losses -------------------------------------------------------
 

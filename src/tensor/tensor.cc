@@ -107,11 +107,6 @@ double Tensor::sum() const {
   return std::accumulate(data_.begin(), data_.end(), 0.0);
 }
 
-float Tensor::max_value() const {
-  REBERT_CHECK(!data_.empty());
-  return *std::max_element(data_.begin(), data_.end());
-}
-
 double Tensor::norm() const {
   double s = 0.0;
   for (float v : data_) s += static_cast<double>(v) * v;

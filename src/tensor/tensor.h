@@ -64,7 +64,6 @@ class Tensor {
   void add_scaled(const Tensor& other, float alpha);
 
   double sum() const;
-  float max_value() const;
   /// L2 norm of all entries.
   double norm() const;
 

@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "cli_run.h"
 
@@ -34,11 +35,19 @@ Outcome run_status(const std::string& command) {
 
 TEST(CliFlagsTest, UnknownFlagPrintsUsageAndExitsTwo) {
   const std::string cli = REBERT_CLI_PATH;
-  for (const std::string& command :
-       {cli + " score --bench b03 --pairs 2 --no-such-flag 1",
-        cli + " score --bench b03 --pairs 2 --batch 4",  // a removed flag
-        cli + " stats --in missing.bench --verbose",
-        cli + " route --socket unused.sock --bogus 3"}) {
+  std::vector<std::string> commands = {
+      cli + " score --bench b03 --pairs 2 --no-such-flag 1",
+      cli + " score --bench b03 --pairs 2 --batch 4",  // a removed flag
+      cli + " stats --in missing.bench --verbose",
+      cli + " route --socket unused.sock --bogus 3"};
+  // Router knobs with one value in use are constants, so `route` rejects
+  // the flags that used to set them.
+  for (const char* removed :
+       {"--backend-weights 1,2", "--vnodes 64", "--replicas 2",
+        "--mirror-queue-depth 256", "--queue-depth 4",
+        "--queue-timeout-ms 250", "--probe-interval-ms 200"})
+    commands.push_back(cli + " route --socket unused.sock " + removed);
+  for (const std::string& command : commands) {
     const Outcome outcome = run_status(command);
     EXPECT_EQ(outcome.status, 2) << command << "\n" << outcome.output;
     EXPECT_NE(outcome.output.find("unknown flag --"), std::string::npos)

@@ -137,30 +137,6 @@ TEST(PairwiseTest, VacuousCasesDefinedAsPerfect) {
   EXPECT_DOUBLE_EQ(s.recall, 1.0);
 }
 
-TEST(NmiTest, PerfectAndTrivialCases) {
-  EXPECT_DOUBLE_EQ(
-      normalized_mutual_information({0, 0, 1, 1}, {1, 1, 0, 0}), 1.0);
-  EXPECT_DOUBLE_EQ(normalized_mutual_information({0, 0}, {0, 0}), 1.0);
-}
-
-TEST(NmiTest, IndependentLabelingsScoreLow) {
-  const std::vector<int> truth{0, 0, 1, 1};
-  const std::vector<int> pred{0, 1, 0, 1};
-  EXPECT_NEAR(normalized_mutual_information(truth, pred), 0.0, 1e-12);
-}
-
-TEST(NmiTest, BetweenZeroAndOne) {
-  util::Rng rng(9);
-  std::vector<int> truth(60), pred(60);
-  for (int i = 0; i < 60; ++i) {
-    truth[i] = i / 10;
-    pred[i] = rng.uniform_int(0, 5);
-  }
-  const double nmi = normalized_mutual_information(truth, pred);
-  EXPECT_GE(nmi, 0.0);
-  EXPECT_LE(nmi, 1.0);
-}
-
 TEST(VMeasureTest, PerfectAgreementScoresOne) {
   const VMeasure v = v_measure({0, 0, 1, 1}, {5, 5, 9, 9});
   EXPECT_NEAR(v.homogeneity, 1.0, 1e-12);

@@ -63,15 +63,5 @@ TEST(DotExportTest, SizeLimitEnforced) {
   EXPECT_FALSE(dot_string(okay.netlist, okay.words).empty());
 }
 
-TEST(DotExportTest, ConeTreeRendering) {
-  const Netlist n = small();
-  const ConeTree tree = extract_cone(n, *n.find("x"), 2);
-  const std::string dot = cone_dot_string(tree);
-  EXPECT_NE(dot.find("digraph cone"), std::string::npos);
-  EXPECT_NE(dot.find("n0 -> n1"), std::string::npos);
-  EXPECT_NE(dot.find("[label=\"AND\""), std::string::npos);
-  EXPECT_NE(dot.find("shape=plaintext"), std::string::npos);  // leaves
-}
-
 }  // namespace
 }  // namespace rebert::nl

@@ -14,8 +14,11 @@
 #include <string>
 #include <vector>
 
+#include "bert/model.h"
+#include "circuitgen/suite.h"
 #include "persist/cache_io.h"
 #include "persist/mmap_snapshot.h"
+#include "rebert/pipeline.h"
 #include "rebert/prediction_cache.h"
 
 namespace rebert::persist {
@@ -281,6 +284,48 @@ TEST(CacheIoTest, AnotherScorersSnapshotStartsCold) {
   cache.insert(3, 0.3);
   save_cache(cache, path);
   EXPECT_EQ(MmapSnapshot::open(path).snapshot->fingerprint(), kScorer);
+  std::remove(path.c_str());
+}
+
+TEST(CacheIoTest, SnapshotFilledAtAnotherTokenBudgetStartsCold) {
+  // The same model (weights, config, backend) scoring through a tokenizer
+  // with another pair budget truncates long pairs differently, so it is
+  // another scorer: a snapshot filled at 256 tokens must not answer a
+  // recover at 128. (b14 has pairs longer than 128 tokens, so the stale
+  // scores would differ, not just the hit count.)
+  const gen::GeneratedCircuit g = gen::generate_benchmark("b14", 0.25);
+  core::PipelineOptions options;
+  options.tokenizer.tree_code_dim = 8;
+  options.tokenizer.max_seq_len = 256;
+  bert::BertConfig config = bert::eval_config(32, 256);
+  config.tree_code_dim = 8;
+  bert::BertPairClassifier model(config);
+  const std::string path = temp_path("cache_budget.rbpc");
+  {
+    core::ShardedPredictionCache filled;
+    options.external_cache = &filled;
+    (void)core::recover_words(g.netlist, model, options);
+    ASSERT_GT(filled.size(), 0u);
+    save_cache(filled, path);
+  }
+
+  options.tokenizer.max_seq_len = 128;
+  options.external_cache = nullptr;
+  const core::RecoveryArtifacts expected =
+      core::recover_words_detailed(g.netlist, model, options);
+  core::ShardedPredictionCache cache;
+  ASSERT_GT(warm_start_cache(&cache, path), 0u);
+  options.external_cache = &cache;
+  const core::RecoveryArtifacts got =
+      core::recover_words_detailed(g.netlist, model, options);
+  EXPECT_EQ(cache.warm_tier(), nullptr);
+  EXPECT_EQ(cache.warm_rejected(), 1u);
+  EXPECT_DOUBLE_EQ(got.result.cache_hit_rate, 0.0);
+  EXPECT_EQ(got.result.labels, expected.result.labels);
+  ASSERT_EQ(got.scores.num_edges(), expected.scores.num_edges());
+  for (int i = 0; i < got.scores.size(); ++i)
+    for (int j = 0; j < got.scores.size(); ++j)
+      ASSERT_EQ(got.scores.at(i, j), expected.scores.at(i, j));
   std::remove(path.c_str());
 }
 

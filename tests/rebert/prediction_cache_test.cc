@@ -212,7 +212,8 @@ TEST(PredictionCacheTest, RecoverUnderAnotherModelNeverReadsTheCache) {
   const RecoveryArtifacts got =
       recover_words_detailed(g.netlist, second, options);
   EXPECT_DOUBLE_EQ(got.result.cache_hit_rate, 0.0);
-  EXPECT_EQ(cache.fingerprint(), second.fingerprint());
+  EXPECT_EQ(cache.fingerprint(),
+            scorer_fingerprint(second, options.tokenizer));
   EXPECT_EQ(got.result.labels, expected.result.labels);
   ASSERT_EQ(got.scores.num_edges(), expected.scores.num_edges());
   for (int i = 0; i < got.scores.size(); ++i)

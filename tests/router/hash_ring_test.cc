@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "circuitgen/suite.h"
 #include "router/hash_ring.h"
 
 namespace rebert::router {
@@ -258,57 +259,28 @@ TEST(HashRingOwnersTest, LeaverPromotesItsSecondaries) {
   EXPECT_GT(promoted, 0);
 }
 
-TEST(HashRingWeightTest, WeightScalesVirtualPoints) {
-  HashRing ring(64);
-  ring.add("small", 0.5);
-  ring.add("plain");  // weight 1.0
-  ring.add("big", 2.0);
-  EXPECT_EQ(ring.points_of("small"), 32);
-  EXPECT_EQ(ring.points_of("plain"), 64);
-  EXPECT_EQ(ring.points_of("big"), 128);
-  EXPECT_EQ(ring.points_of("absent"), 0);
-  // Even a vanishing weight keeps the member addressable.
-  ring.add("tiny", 0.0001);
-  EXPECT_EQ(ring.points_of("tiny"), 1);
-}
-
-TEST(HashRingWeightTest, WeightedShareTracksWeightRatio) {
-  HashRing ring(64);
-  ring.add("light", 1.0);
-  ring.add("heavy", 3.0);
-  int heavy = 0;
-  const std::vector<std::string> keys = test_keys(4000);
-  for (const std::string& key : keys)
-    if (ring.node_for(key) == "heavy") ++heavy;
-  // Expect ~3/4 of the keys on the weight-3 member; vnode placement noise
-  // gets a generous band around it.
-  const double share = static_cast<double>(heavy) /
-                       static_cast<double>(keys.size());
-  EXPECT_GT(share, 0.60);
-  EXPECT_LT(share, 0.90);
-}
-
-TEST(HashRingWeightTest, WeightedRemoveThenReAddRestoresPlacement) {
-  // remove() must erase exactly the points add() created — including the
-  // weighted count — or a re-add would leak phantom ring entries.
+TEST(HashRingOwnersTest, SuiteBenchOwnersArePinned) {
+  // `route` gives each backend its own snapshot shard
+  // (cache.rbpc.backendN), so a key that moves to another owner turns a
+  // warm restart cold without any error. Pin the owners of every suite
+  // bench on a three-backend ring: a change to the hash, the point count
+  // or the walk must show up here.
   HashRing ring;
-  ring.add("backend0", 2.0);
-  ring.add("backend1", 0.5);
-  ring.add("backend2");
-  const std::vector<std::string> keys = test_keys(300);
-  std::map<std::string, std::string> before;
-  for (const std::string& key : keys) before[key] = ring.node_for(key);
-  ring.remove("backend0");
-  ring.add("backend0", 2.0);
-  for (const std::string& key : keys)
-    EXPECT_EQ(ring.node_for(key), before[key]) << key;
-}
-
-TEST(HashRingWeightTest, InvalidWeightsAreRejected) {
-  HashRing ring;
-  EXPECT_THROW(ring.add("backend0", 0.0), std::exception);
-  EXPECT_THROW(ring.add("backend0", -1.0), std::exception);
-  EXPECT_TRUE(ring.empty());
+  for (const char* node : {"backend0", "backend1", "backend2"})
+    ring.add(node);
+  const std::map<std::string, std::vector<std::string>> pinned = {
+      {"b03", {"backend1", "backend0"}}, {"b04", {"backend0", "backend2"}},
+      {"b05", {"backend2", "backend1"}}, {"b07", {"backend1", "backend2"}},
+      {"b08", {"backend2", "backend0"}}, {"b11", {"backend1", "backend0"}},
+      {"b12", {"backend2", "backend0"}}, {"b13", {"backend1", "backend0"}},
+      {"b14", {"backend1", "backend2"}}, {"b15", {"backend0", "backend1"}},
+      {"b17", {"backend1", "backend2"}}, {"b18", {"backend0", "backend2"}},
+  };
+  ASSERT_EQ(gen::benchmark_names().size(), pinned.size());
+  for (const std::string& bench : gen::benchmark_names()) {
+    ASSERT_EQ(pinned.count(bench), 1u) << bench;
+    EXPECT_EQ(ring.owners(bench, 2), pinned.at(bench)) << bench;
+  }
 }
 
 TEST(HashRingTest, NodesAreSorted) {

@@ -2,13 +2,9 @@
 // real sockets: answered scores are mirrored to the secondary owner so
 // its caches stay warm; a dead primary fails over to that warm secondary
 // in ONE dispatch (zero cold misses on the survivor); mirroring never
-// blocks or breaks the answer path even when the secondary is dead; and
-// the bounded queue-with-timeout parks requests through saturation or a
-// restart instead of refusing immediately, shedding with the right
-// distinguished error when it expires or overflows.
+// blocks or breaks the answer path even when the secondary is dead.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -17,10 +13,8 @@
 #include <vector>
 
 #include "router/router.h"
-#include "runtime/fault_injector.h"
 #include "serve/client.h"
 #include "serve/engine.h"
-#include "serve/protocol.h"
 #include "serve/serve_loop.h"
 #include "util/string_utils.h"
 
@@ -46,7 +40,6 @@ EngineOptions small_options() {
 
 RouterOptions fast_router_options() {
   RouterOptions options;
-  options.probe_interval_ms = 0;  // tests call probe_once() themselves
   options.client.connect_attempts = 3;
   options.client.connect_poll_ms = 5;
   options.retry_after_ms = 9;
@@ -206,165 +199,16 @@ TEST(RouterFailoverTest, DeadSecondaryNeverBlocksTheAnswer) {
             5000);
 }
 
-TEST(RouterFailoverTest, QueueDisabledRefusesImmediately) {
-  Router router(fast_router_options());  // queue_depth = 0 (default)
-  bool quit = false;
-  const std::string refusal = router.handle_line("score b03 q0 q1", &quit);
-  EXPECT_TRUE(util::starts_with(refusal, "err no_backend")) << refusal;
-  EXPECT_EQ(router.stats().queued, 0u);
-}
-
-TEST(RouterFailoverTest, ParkedRequestExpiresWithDeadlineExceeded) {
-  RouterOptions options = fast_router_options();
-  options.queue_depth = 2;
-  options.queue_timeout_ms = 60;
-  Router router(options);  // empty ring: nothing will ever answer
-  bool quit = false;
-  const auto start = std::chrono::steady_clock::now();
-  const std::string answer = router.handle_line("score b03 q0 q1", &quit);
-  const auto waited = std::chrono::duration_cast<std::chrono::milliseconds>(
-                          std::chrono::steady_clock::now() - start)
-                          .count();
-  EXPECT_EQ(answer, "err deadline_exceeded");
-  EXPECT_GE(waited, 60);  // it really parked
-  EXPECT_EQ(router.stats().queued, 1u);
-  EXPECT_EQ(router.stats().queued_timeouts, 1u);
-  EXPECT_EQ(router.stats().no_backend_errors, 0u);
-}
-
-TEST(RouterFailoverTest, FullQueueShedsWithRouterAdvisory) {
-  RouterOptions options = fast_router_options();
-  options.queue_depth = 1;
-  options.queue_timeout_ms = 400;
-  Router router(options);  // empty ring: the parked request holds the slot
-  std::thread parked([&router] {
-    bool quit = false;
-    EXPECT_EQ(router.handle_line("score b03 q0 q1", &quit),
-              "err deadline_exceeded");
-  });
-  // Wait until the first request occupies the queue slot.
-  while (router.stats().queued < 1)
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  bool quit = false;
-  const auto start = std::chrono::steady_clock::now();
-  const std::string shed = router.handle_line("score b03 q2 q3", &quit);
-  const auto waited = std::chrono::duration_cast<std::chrono::milliseconds>(
-                          std::chrono::steady_clock::now() - start)
-                          .count();
-  parked.join();
-  EXPECT_TRUE(util::starts_with(shed, "err overloaded")) << shed;
-  EXPECT_EQ(serve::parse_retry_after_ms(shed), 9) << shed;  // router's own
-  EXPECT_LT(waited, 300);  // shed at the door, did not wait the timeout
-  EXPECT_EQ(router.stats().queued, 1u);
-}
-
-TEST(RouterFailoverTest, ParkedRequestRidesOutARestart) {
-  RouterOptions options = fast_router_options();
-  options.queue_depth = 4;
-  options.queue_timeout_ms = 10000;  // far longer than the "restart"
-  Router router(options);
-  const std::string path =
-      ::testing::TempDir() + "/failover_restart.sock";
-  std::remove(path.c_str());
-  // Registered but not yet listening — the fleet is "briefly restarting".
-  router.add_backend("backend0", path);
-
-  std::atomic<bool> answered{false};
-  std::string answer;
-  std::thread request([&] {
-    bool quit = false;
-    answer = router.handle_line("score b03 q0 q1", &quit);
-    answered.store(true);
-  });
-  while (router.stats().queued < 1)
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  EXPECT_FALSE(answered.load());
-
-  // The daemon comes up; the prober notices; the parked request lands.
-  TestBackend backend(path, small_options());
-  ASSERT_TRUE(wait_ready(backend.path));
-  const std::vector<std::string> bits = backend.engine.bit_names("b03");
-  ASSERT_GE(bits.size(), 2u);
-  while (!answered.load()) {
-    router.probe_once();
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  request.join();
-  // The parked line used placeholder bit names; the point is WHO answered:
-  // a real backend (err unknown-bit), not the router's deadline/refusal.
-  EXPECT_TRUE(util::starts_with(answer, "err ")) << answer;
-  EXPECT_EQ(answer.find("deadline_exceeded"), std::string::npos) << answer;
-  EXPECT_EQ(answer.find("no_backend"), std::string::npos) << answer;
-  EXPECT_EQ(router.stats().queued_timeouts, 0u);
-  EXPECT_GE(router.stats().backends_revived, 1u);
-}
-
-TEST(RouterFailoverTest, SaturationTimeoutRelaysBackendAdvisory) {
-  EngineOptions options = small_options();
-  options.max_inflight = 1;
-  options.retry_after_ms = 7;  // distinct from the router's 9
-  TestBackend backend(::testing::TempDir() + "/failover_sat.sock", options);
-  ASSERT_TRUE(wait_ready(backend.path));
-  RouterOptions router_options = fast_router_options();
-  router_options.queue_depth = 2;
-  router_options.queue_timeout_ms = 50;
-  Router router(router_options);
-  router.add_backend("backend0", backend.path);
-
-  const std::vector<std::string> bits = backend.engine.bit_names("b03");
-  ASSERT_GE(bits.size(), 3u);
-  runtime::FaultInjector::global().arm("model.forward", 1.0, 3, 400);
-  std::thread slow([&] {
-    bool ignored = false;
-    (void)router.handle_line("score b03 " + bits[0] + " " + bits[2],
-                             &ignored);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  // The single admission slot is busy for ~400 ms; this request parks,
-  // expires after 50 ms, and must relay the BACKEND's shed advisory —
-  // saturation is not "no backend".
-  bool quit = false;
-  const std::string shed =
-      router.handle_line("score b03 " + bits[1] + " " + bits[2], &quit);
-  slow.join();
-  runtime::FaultInjector::global().disarm_all();
-  EXPECT_TRUE(util::starts_with(shed, "err overloaded")) << shed;
-  EXPECT_EQ(serve::parse_retry_after_ms(shed), 7) << shed;
-  EXPECT_GE(router.stats().queued, 1u);
-  EXPECT_GE(router.stats().queued_timeouts, 1u);
-}
-
-TEST(RouterFailoverTest, ReplicasOneRestoresSingleOwnerPlacement) {
-  RouterOptions options = fast_router_options();
-  options.replicas = 1;
-  Router router(options);
-  Pair pair("single", small_options(), router);
-  ASSERT_EQ(router.owners_for(pair.bench).size(), 1u);
-
-  bool quit = false;
-  const std::string score = router.handle_line(
-      "score " + pair.bench + " " + pair.bits[0] + " " + pair.bits[1],
-      &quit);
-  ASSERT_TRUE(util::starts_with(score, "ok ")) << score;
-  ASSERT_TRUE(router.wait_mirror_idle(2000));
-  // No replication: nothing mirrored, and a dead primary is a reroute to
-  // the rebalanced ring, not a replica hit.
-  EXPECT_EQ(router.stats().mirrored, 0u);
-  EXPECT_EQ(router.stats().replica_hits, 0u);
-}
-
 TEST(RouterFailoverTest, StatsExposeReplicationCounters) {
   Router router(fast_router_options());
   bool quit = false;
   const std::string stats = router.handle_line("stats", &quit);
   for (const char* field :
-       {"replicas=2", "replica_hits=0", "mirrored=0", "mirror_dropped=0",
-        "queued=0", "queued_timeouts=0"})
+       {"replicas=2", "replica_hits=0", "mirrored=0", "mirror_dropped=0"})
     EXPECT_NE(stats.find(field), std::string::npos) << stats << field;
   const std::string health = router.handle_line("health", &quit);
   for (const char* field :
-       {"replica_hits=0", "mirror_dropped=0", "queued=0",
-        "queued_timeouts=0"})
+       {"replica_hits=0", "mirror_dropped=0"})
     EXPECT_NE(health.find(field), std::string::npos) << health << field;
 }
 

@@ -45,7 +45,6 @@ EngineOptions small_options() {
 
 RouterOptions fast_router_options() {
   RouterOptions options;
-  options.probe_interval_ms = 0;  // tests call probe_once() themselves
   // Fail fast on dead sockets so reroutes happen in milliseconds, not the
   // patient cold-start connect budget.
   options.client.connect_attempts = 3;
@@ -114,7 +113,7 @@ TEST(RouterTest, BackendForMatchesStandaloneRing) {
   Router router(fast_router_options());
   router.add_backend("backend0", "/tmp/router_test_nowhere0.sock");
   router.add_backend("backend1", "/tmp/router_test_nowhere1.sock");
-  HashRing ring(fast_router_options().vnodes);
+  HashRing ring;
   ring.add("backend0");
   ring.add("backend1");
   for (const char* bench : {"b03", "b04", "b05", "b07", "b08", "b11"})

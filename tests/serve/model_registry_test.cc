@@ -28,6 +28,10 @@ bert::BertConfig tiny_config() {
   return config;
 }
 
+core::TokenizerOptions tiny_tokenizer() {
+  return {.tree_code_dim = 8, .max_seq_len = 64};
+}
+
 std::string write_file(const std::string& name, const std::string& text) {
   const std::string path = ::testing::TempDir() + "/" + name;
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
@@ -92,7 +96,7 @@ TEST(ModelRegistryTest, SizeRulePicksSmallestCoveringBound) {
                      {"big", "-", 0}};
   manifest.default_model = "big";
   core::ShardedPredictionCache cache(4);
-  ModelRegistry registry(manifest, tiny_config(), &cache);
+  ModelRegistry registry(manifest, tiny_config(), tiny_tokenizer(), &cache);
   EXPECT_EQ(registry.size(), 3u);
   EXPECT_EQ(registry.unhealthy_count(), 0);
 
@@ -111,7 +115,7 @@ TEST(ModelRegistryTest, CacheOwnershipSeparatesModels) {
   manifest.models = {{"a", "-", 0}, {"b", "-", 0}};
   manifest.default_model = "a";
   core::ShardedPredictionCache shared(4);
-  ModelRegistry registry(manifest, tiny_config(), &shared);
+  ModelRegistry registry(manifest, tiny_config(), tiny_tokenizer(), &shared);
   ModelRegistry::Entry* a = registry.find("a");
   ModelRegistry::Entry* b = registry.find("b");
   ASSERT_NE(a, nullptr);
@@ -132,7 +136,7 @@ TEST(ModelRegistryTest, UnloadableCheckpointIsKeptButUnhealthy) {
   manifest.models = {{"good", "-", 0}, {"bad", bogus, 0}};
   manifest.default_model = "good";
   core::ShardedPredictionCache cache(4);
-  ModelRegistry registry(manifest, tiny_config(), &cache);
+  ModelRegistry registry(manifest, tiny_config(), tiny_tokenizer(), &cache);
   ModelRegistry::Entry* bad = registry.find("bad");
   ASSERT_NE(bad, nullptr);
   EXPECT_FALSE(bad->load_ok);

@@ -81,7 +81,6 @@ TEST(TensorTest, SumNormMax) {
   const Tensor t = Tensor::from_vector({3, -4, 0});
   EXPECT_DOUBLE_EQ(t.sum(), -1.0);
   EXPECT_DOUBLE_EQ(t.norm(), 5.0);
-  EXPECT_FLOAT_EQ(t.max_value(), 3.0f);
 }
 
 TEST(TensorTest, XavierWithinLimit) {

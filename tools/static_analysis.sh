@@ -58,7 +58,7 @@
 #   8. Warm-start kill drill: snapshots + SIGKILL + supervisor respawn;
 #      the respawned backend's first answer must already be warm from the
 #      mmap tier (warm_entries > 0, cache_misses = 0).
-#   8b. Replica failover smoke: route at --replicas 2, prime a score
+#   8b. Replica failover smoke: route (R = 2), prime a score
 #      through the router so the mirror queue warms the secondary, then
 #      SIGKILL the bench's primary — the resend must answer ok with ZERO
 #      new cache misses on the survivor (the warm-failover acceptance,
@@ -484,7 +484,7 @@ fi
 # the resend must come back `ok` with ZERO new cache misses on the
 # survivor — the victim's key range is served warm, not re-scored.
 if [ "$RUN_SHARDED" -eq 1 ]; then
-  note "replica failover smoke (route --replicas 2, mirror-warm, SIGKILL primary)"
+  note "replica failover smoke (route, mirror-warm, SIGKILL primary)"
   ensure_cli || exit 1
   FWORK=$(mktemp -d)
   FSOCK="$FWORK/router.sock"
@@ -498,7 +498,7 @@ if [ "$RUN_SHARDED" -eq 1 ]; then
   BIT_B=$(grep -v '^#' "$FWORK/b03.words" | head -1 | cut -d: -f2 | awk '{print $2}')
   [ -n "${BIT_B:-}" ] || BIT_B="$BIT_A"
   "$CLI" route --socket "$FSOCK" --backends 2 --scale 0.25 \
-    --max-inflight 8 --replicas 2 > "$FWORK/route.log" 2>&1 &
+    --max-inflight 8 > "$FWORK/route.log" 2>&1 &
   FROUTE_PID=$!
   FREADY=0
   for _ in $(seq 1 240); do
