@@ -22,13 +22,10 @@
 //   rebert_cli lint        --in c.bench [--words truth] [--format text|csv]
 //                          [--out report.csv] [--fail-on-warn]
 //   rebert_cli serve       [--socket /tmp/rebert.sock] [--threads N]
-//                          [--model model.bin]
-//                          [--manifest models.manifest] [--scale 0.25]
-//                          [--depth 6]
+//                          [--model model.bin] [--scale 0.25] [--depth 6]
 //                          [--cache-file cache.rbpc] [--snapshot-every 64]
-//                          [--max-inflight 0] [--max-inflight-per-bench 0]
-//                          [--retry-after-ms 50] [--deadline-ms 0]
-//                          [--max-connections 64] [--listen-backlog 0]
+//                          [--max-inflight 0] [--retry-after-ms 50]
+//                          [--deadline-ms 0] [--max-connections 64]
 //                          [--dispatch-threads 0]
 //   rebert_cli route       --socket /tmp/router.sock [--backends 2 |
 //                          --backend-sockets a.sock,b.sock] + serve flags
@@ -37,8 +34,8 @@
 //   rebert_cli call        --socket /tmp/router.sock [--retry] <request...>
 //   rebert_cli score       [--bench b07] [--pairs 200 | --bits a,b]
 //                          [--seed 1] [--cache-file cache.rbpc]
-//                          [--model model.bin] [--manifest models.manifest]
-//                          [--scale 0.25] [--depth 6] [--threads N]
+//                          [--model model.bin] [--scale 0.25] [--depth 6]
+//                          [--threads N]
 //
 // A flag the subcommand does not name above (or the global --kernels)
 // prints `unknown flag --x` and the usage screen and exits 2.
@@ -61,11 +58,12 @@
 // connections in the reactor's epoll set (excess connections get the
 // overload advisory at their first byte and are closed), --dispatch-
 // threads sizes the model-work pool behind the reactor (0 = default 16),
-// --listen-backlog overrides the SOMAXCONN accept queue (0 = SOMAXCONN),
 // and the REBERT_FAULTS environment variable
 // (site:prob:seed[:delay_ms],...) arms deterministic fault injection for
 // chaos drills — a model-path fault degrades `recover` to the structural
-// baseline rather than failing it.
+// baseline rather than failing it. A --model checkpoint that fails to load
+// does the same for the daemon's whole life (`health` says degraded,
+// `score` answers err) instead of stopping it from starting.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -150,10 +148,7 @@ serve::EngineOptions engine_options(const util::FlagParser& flags) {
   options.num_threads = flags.get_int("threads", 0);
   options.suite_scale = flags.get_double("scale", 0.25);
   options.model_path = flags.get("model", "");
-  options.manifest_path = flags.get("manifest", "");
   options.max_inflight = flags.get_int("max-inflight", 0);
-  options.max_inflight_per_bench =
-      flags.get_int("max-inflight-per-bench", 0);
   options.retry_after_ms = flags.get_int("retry-after-ms", 50);
   options.experiment = experiment_options(flags);
   return options;
@@ -468,11 +463,9 @@ int cmd_lint(const util::FlagParser& flags) {
 // the per-backend --socket and --cache-file, to every backend it spawns.
 constexpr char kServeFlags[] =
     "[--socket /tmp/rebert.sock] [--threads N] [--model model.bin] "
-    "[--manifest models.manifest] [--scale 0.25] [--depth 6] "
-    "[--cache-file cache.rbpc] [--snapshot-every 64] [--max-inflight 0] "
-    "[--max-inflight-per-bench 0] [--retry-after-ms 50] "
-    "[--deadline-ms 0] [--max-connections 64] [--listen-backlog 0] "
-    "[--dispatch-threads 0]";
+    "[--scale 0.25] [--depth 6] [--cache-file cache.rbpc] "
+    "[--snapshot-every 64] [--max-inflight 0] [--retry-after-ms 50] "
+    "[--deadline-ms 0] [--max-connections 64] [--dispatch-threads 0]";
 
 /// The flag names ("--name" tokens) a help string mentions, in order.
 std::vector<std::string> flags_in(std::string_view help) {
@@ -493,8 +486,7 @@ int cmd_serve(const util::FlagParser& flags) {
   serve::ServeLoop loop(engine);
   loop.set_default_deadline_ms(flags.get_int("deadline-ms", 0));
   loop.set_max_connections(flags.get_int("max-connections", 64));
-  // 0 = the built-in defaults: SOMAXCONN backlog, 16 dispatch threads.
-  loop.set_listen_backlog(flags.get_int("listen-backlog", 0));
+  // 0 = the built-in default of 16 dispatch threads.
   loop.set_dispatch_threads(flags.get_int("dispatch-threads", 0));
   const std::string cache_file = flags.get("cache-file", "");
   if (!cache_file.empty()) {
@@ -777,9 +769,8 @@ constexpr Subcommand kSubcommands[] = {
      cmd_call},
     {"score",
      "[--bench b07] [--pairs 200 | --bits a,b] [--seed 1] "
-     "[--cache-file cache.rbpc] [--model model.bin] "
-     "[--manifest models.manifest] [--scale 0.25] [--depth 6] "
-     "[--threads N]",
+     "[--cache-file cache.rbpc] [--model model.bin] [--scale 0.25] "
+     "[--depth 6] [--threads N]",
      cmd_score},
 };
 

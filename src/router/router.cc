@@ -361,8 +361,8 @@ std::string Router::handle_line(const std::string& line, bool* quit) {
     switch (request.type) {
       case serve::RequestType::kScore:
       case serve::RequestType::kRecover:
-        // Forward the raw line: the backend re-parses it, so model= and
-        // deadline_ms= fields survive verbatim.
+        // Forward the raw line: the backend re-parses it, so a
+        // deadline_ms= field survives verbatim.
         return forward(line, request.bench,
                        request.type == serve::RequestType::kScore);
       case serve::RequestType::kStats:

@@ -25,19 +25,6 @@ bool is_generated_bench(const std::string& name) {
   return std::find(names.begin(), names.end(), name) != names.end();
 }
 
-// The registry always exists: with no manifest the engine behaves exactly
-// as a single-model deployment — one entry named "default", loaded from
-// model_path (or fresh weights), sharing the persisted cache.
-ModelManifest manifest_for(const EngineOptions& options) {
-  if (!options.manifest_path.empty())
-    return parse_model_manifest(options.manifest_path);
-  ModelManifest single;
-  single.models.push_back(
-      {"default", options.model_path.empty() ? "-" : options.model_path, 0});
-  single.default_model = "default";
-  return single;
-}
-
 }  // namespace
 
 InferenceEngine::InferenceEngine(EngineOptions options)
@@ -45,16 +32,29 @@ InferenceEngine::InferenceEngine(EngineOptions options)
       tokenizer_(options_.experiment.pipeline.tokenizer),
       pool_(std::max(
           1, runtime::resolve_thread_count(options_.num_threads) - 1)),
-      registry_(manifest_for(options_),
-                core::make_model_config(options_.experiment),
-                options_.experiment.pipeline.tokenizer, &cache_) {
-  if (options_.manifest_path.empty() && options_.model_path.empty()) {
+      model_(core::make_model_config(options_.experiment)) {
+  if (options_.model_path.empty()) {
     LOG_WARN << "serve: no --model given; using untrained weights "
                 "(scores exercise the runtime, not the paper's accuracy)";
   } else {
-    LOG_INFO << "serve: registry holds " << registry_.size() << " model(s), "
-             << registry_.unhealthy_count() << " unhealthy";
+    try {
+      model_.load(options_.model_path);
+      LOG_INFO << "serve: loaded model " << options_.model_path;
+    } catch (const std::exception& error) {
+      // A bad checkpoint must not stop the daemon: it starts degraded,
+      // recover answers structurally and score answers err.
+      LOG_WARN << "serve: failed to load model " << options_.model_path
+               << " (" << error.what() << "); serving degraded";
+      load_ok_ = false;
+      set_model_health(false);
+    }
   }
+  // Bound before any warm start, so a snapshot of another model, kernel
+  // backend or token budget is refused instead of served. Weights that
+  // failed to load have no fingerprint, and their cache is never read.
+  if (load_ok_)
+    cache_.bind(core::scorer_fingerprint(
+        model_, options_.experiment.pipeline.tokenizer));
 }
 
 const InferenceEngine::BenchContext& InferenceEngine::bench(
@@ -63,9 +63,9 @@ const InferenceEngine::BenchContext& InferenceEngine::bench(
   auto it = benches_.find(name);
   if (it != benches_.end()) return *it->second;
 
-  // First use: generate or parse, decompose, tokenize. Loading holds the
-  // registry lock — concurrent requests for other benches wait, which is
-  // acceptable for a registry that fills once and is then read-only.
+  // First use: generate or parse, decompose, tokenize. Loading holds
+  // benches_mu_ — concurrent requests for other benches wait, which is
+  // acceptable for a map that fills once per bench and is then read-only.
   nl::Netlist netlist;
   if (is_generated_bench(name)) {
     netlist = gen::generate_benchmark(name, options_.suite_scale).netlist;
@@ -102,88 +102,45 @@ int InferenceEngine::bit_index(const BenchContext& context,
   return it->second;
 }
 
-void InferenceEngine::set_model_health(ModelRegistry::Entry& entry,
-                                       bool healthy) {
-  model_healthy_.store(healthy, std::memory_order_relaxed);
-  entry.healthy.store(healthy, std::memory_order_relaxed);
-}
-
 void InferenceEngine::Admission::release() {
   if (engine_ == nullptr) return;
   engine_->inflight_.fetch_sub(1, std::memory_order_relaxed);
-  if (!bench_.empty()) engine_->release_bench_slot(bench_);
   engine_ = nullptr;
-  bench_.clear();
 }
 
-InferenceEngine::Admission InferenceEngine::try_admit(
-    const std::string& bench) {
+InferenceEngine::Admission InferenceEngine::try_admit() {
   const int budget = options_.max_inflight;
-  Admission admission;
   if (budget < 1) {  // unlimited: keep the gauge, never decline
     inflight_.fetch_add(1, std::memory_order_relaxed);
-    admission = Admission(this);
-  } else {
-    int current = inflight_.load(std::memory_order_relaxed);
-    while (true) {
-      if (current >= budget) {
-        shed_requests_.fetch_add(1, std::memory_order_relaxed);
-        return Admission();
-      }
-      if (inflight_.compare_exchange_weak(current, current + 1,
-                                          std::memory_order_relaxed)) {
-        admission = Admission(this);
-        break;
-      }
-    }
+    return Admission(this);
   }
-  // Per-bench budget on top of the global one. Declining here destructs
-  // `admission`, which returns the already-taken global slot.
-  const int bench_budget = options_.max_inflight_per_bench;
-  if (bench_budget >= 1 && !bench.empty()) {
-    util::MutexLock lock(bench_slots_mu_);
-    int& count = bench_inflight_[bench];
-    if (count >= bench_budget) {
-      bench_shed_requests_.fetch_add(1, std::memory_order_relaxed);
+  int current = inflight_.load(std::memory_order_relaxed);
+  while (true) {
+    if (current >= budget) {
       shed_requests_.fetch_add(1, std::memory_order_relaxed);
       return Admission();
     }
-    ++count;
-    admission.bench_ = bench;
+    if (inflight_.compare_exchange_weak(current, current + 1,
+                                        std::memory_order_relaxed))
+      return Admission(this);
   }
-  return admission;
-}
-
-void InferenceEngine::release_bench_slot(const std::string& bench) {
-  util::MutexLock lock(bench_slots_mu_);
-  auto it = bench_inflight_.find(bench);
-  if (it != bench_inflight_.end() && --it->second <= 0)
-    bench_inflight_.erase(it);
 }
 
 double InferenceEngine::score(const std::string& bench,
                               const std::string& bit_a,
                               const std::string& bit_b,
-                              runtime::CancellationToken* cancel,
-                              const std::string& model) {
-  return score_batch(bench, {{bit_a, bit_b}}, cancel, model).front();
+                              runtime::CancellationToken* cancel) {
+  return score_batch(bench, {{bit_a, bit_b}}, cancel).front();
 }
 
 std::vector<double> InferenceEngine::score_batch(
     const std::string& bench_name,
     const std::vector<std::pair<std::string, std::string>>& bit_pairs,
-    runtime::CancellationToken* cancel, const std::string& model) {
+    runtime::CancellationToken* cancel) {
   score_requests_.fetch_add(bit_pairs.size(), std::memory_order_relaxed);
   const BenchContext& context = bench(bench_name);
-  ModelRegistry::Entry& entry =
-      registry_.select(model, static_cast<int>(context.bits.size()));
-  // An explicitly named entry whose checkpoint never loaded cannot score
-  // anything meaningful — that is a request error, not a server fault.
-  // (The size rule never picks such entries; see ModelRegistry::select.)
-  REBERT_CHECK_MSG(entry.load_ok, "model '" + entry.spec.name +
-                                      "' is unhealthy (checkpoint failed "
-                                      "to load)");
-  entry.requests.fetch_add(bit_pairs.size(), std::memory_order_relaxed);
+  // Weights that never loaded cannot score anything meaningful.
+  REBERT_CHECK_MSG(load_ok_, "model is unhealthy (checkpoint failed to load)");
 
   // Unknown names are request errors too: resolve them all before scoring.
   std::vector<std::pair<int, int>> pairs;
@@ -193,8 +150,7 @@ std::vector<double> InferenceEngine::score_batch(
                        bit_index(context, bench_name, b));
 
   core::ShardedPredictionCache* cache =
-      options_.experiment.pipeline.use_prediction_cache ? entry.cache
-                                                        : nullptr;
+      options_.experiment.pipeline.use_prediction_cache ? &cache_ : nullptr;
   // With a cache, pairs under one cache key are scored once and the score
   // fanned back out: two chunks racing on a repeated pair would otherwise
   // both miss and both forward.
@@ -221,12 +177,12 @@ std::vector<double> InferenceEngine::score_batch(
   std::int64_t forwards = 0;
   try {
     forwards = core::score_pairs(context.keyed, pairs, tokenizer_,
-                                 *entry.model, cache, scoring, scores);
+                                 model_, cache, scoring, scores);
   } catch (const runtime::CancelledError&) {
     deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
     throw;
   } catch (...) {
-    set_model_health(entry, false);  // the encode or forward failed
+    set_model_health(false);  // the encode or forward failed
     throw;
   }
   // A started forward always finishes; a deadline that fired during the
@@ -235,7 +191,7 @@ std::vector<double> InferenceEngine::score_batch(
     deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
     throw runtime::CancelledError();
   }
-  if (forwards > 0) set_model_health(entry, true);
+  if (forwards > 0) set_model_health(true);
   if (slot.empty()) return scores;
   std::vector<double> out;
   out.reserve(slot.size());
@@ -244,30 +200,24 @@ std::vector<double> InferenceEngine::score_batch(
 }
 
 RecoverSummary InferenceEngine::recover(const std::string& bench_name,
-                                        runtime::CancellationToken* cancel,
-                                        const std::string& model) {
+                                        runtime::CancellationToken* cancel) {
   recover_requests_.fetch_add(1, std::memory_order_relaxed);
-  // Failures before scoring (unknown bench, unparsable .bench file,
-  // unknown model name) are request errors, not model failures — they
-  // propagate undegraded.
+  // Failures before scoring (unknown bench, unparsable .bench file) are
+  // request errors, not model failures — they propagate undegraded.
   const BenchContext& context = bench(bench_name);
-  ModelRegistry::Entry& entry =
-      registry_.select(model, static_cast<int>(context.bits.size()));
-  entry.requests.fetch_add(1, std::memory_order_relaxed);
   const core::PipelineOptions& pipeline = options_.experiment.pipeline;
 
   util::WallTimer timer;
   RecoverSummary summary;
   summary.num_bits = static_cast<int>(context.bits.size());
   std::vector<int> labels;
-  // An entry whose checkpoint never loaded has nothing to forward — go
-  // straight to the structural baseline instead of failing the request.
-  bool try_model = entry.load_ok;
+  // A checkpoint that never loaded has nothing to forward — go straight
+  // to the structural baseline instead of failing the request.
+  bool try_model = load_ok_;
   if (!try_model) {
     degraded_recoveries_.fetch_add(1, std::memory_order_relaxed);
-    LOG_WARN << "serve: recover(" << bench_name << ") model '"
-             << entry.spec.name
-             << "' never loaded; answering via the structural baseline";
+    LOG_WARN << "serve: recover(" << bench_name
+             << ") model never loaded; answering via the structural baseline";
   }
   if (try_model) {
     try {
@@ -275,11 +225,11 @@ RecoverSummary InferenceEngine::recover(const std::string& bench_name,
       scoring.pool = &pool_;
       scoring.cancel = cancel;
       const core::ScoreMatrix matrix = core::score_all_pairs(
-          context.sequences, tokenizer_, pipeline.filter, *entry.model,
-          pipeline.use_prediction_cache ? entry.cache : nullptr, scoring);
+          context.sequences, tokenizer_, pipeline.filter, model_,
+          pipeline.use_prediction_cache ? &cache_ : nullptr, scoring);
       labels = core::group_words(matrix, pipeline.grouping);
       summary.filtered_fraction = matrix.filtered_fraction();
-      set_model_health(entry, true);
+      set_model_health(true);
     } catch (const runtime::CancelledError&) {
       deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
       throw;
@@ -287,7 +237,7 @@ RecoverSummary InferenceEngine::recover(const std::string& bench_name,
       // Model-path failure (injected forward fault, NaN tripwire, broken
       // checkpoint arithmetic): degrade to the structural matching baseline
       // — no model involved — instead of failing the request.
-      set_model_health(entry, false);
+      set_model_health(false);
       degraded_recoveries_.fetch_add(1, std::memory_order_relaxed);
       LOG_WARN << "serve: recover(" << bench_name << ") model path failed ("
                << e.what() << "); answering via the structural baseline";
@@ -309,7 +259,7 @@ RecoverSummary InferenceEngine::recover(const std::string& bench_name,
   }
 
   summary.num_words = metrics::num_clusters(labels);
-  summary.cache_hit_rate = entry.cache->hit_rate();
+  summary.cache_hit_rate = cache_.hit_rate();
   summary.seconds = timer.seconds();
   return summary;
 }
@@ -340,11 +290,6 @@ EngineStats InferenceEngine::stats() const {
   stats.degraded_recoveries =
       degraded_recoveries_.load(std::memory_order_relaxed);
   stats.faults_injected = runtime::FaultInjector::global().total_trips();
-  stats.models = static_cast<int>(registry_.size());
-  stats.unhealthy_models = registry_.unhealthy_count();
-  stats.max_inflight_per_bench = options_.max_inflight_per_bench;
-  stats.bench_shed_requests =
-      bench_shed_requests_.load(std::memory_order_relaxed);
   stats.kernels = kernels::backend_name(kernels::active_backend());
   return stats;
 }

@@ -1,12 +1,10 @@
 // InferenceEngine — the long-lived core of the serving runtime.
 //
-// Owns a ModelRegistry of immutable BertPairClassifier snapshots (const
-// after construction; the inference path is compiler-enforced read-only,
-// see bert/model.h), a runtime::ThreadPool, a sharded thread-safe
-// PredictionCache shared by all requests to the default model (non-default
-// registry entries carry private caches — see model_registry.h), and a
-// lazily-populated registry of benchmark contexts (tokenized bit
-// universes). score and recover ask the model through one routine,
+// Owns one immutable BertPairClassifier (const after construction; the
+// inference path is compiler-enforced read-only, see bert/model.h), a
+// runtime::ThreadPool, a sharded thread-safe PredictionCache shared by all
+// requests, and a lazily-populated map of benchmark contexts (tokenized
+// bit universes). score and recover ask the model through one routine,
 // core::score_pairs: score hands it the request's bit pairs, recover
 // (through core::score_all_pairs) the candidate class pairs. It scores
 // pairs in fixed-size chunks on the engine pool with the request thread
@@ -14,7 +12,7 @@
 //
 // Thread safety: every public method may be called from any number of
 // threads concurrently (one per connection in the socket server). The
-// models and tokenizer are read-only, the caches are internally sharded,
+// model and tokenizer are read-only, the cache is internally sharded,
 // bench loading is serialized behind a mutex, and request counters are
 // relaxed atomics.
 //
@@ -22,16 +20,15 @@
 //   * Admission control — try_admit() hands out at most max_inflight
 //     concurrent request slots; callers answer `err overloaded
 //     retry_after_ms=<n>` when it declines instead of queueing unboundedly.
-//     try_admit(bench) additionally enforces max_inflight_per_bench so one
-//     hot bench cannot monopolize the whole budget.
 //   * Deadlines — score/recover take an optional CancellationToken; arm it
 //     with set_deadline_after_ms and the work stops cooperatively between
 //     scoring chunks, surfacing runtime::CancelledError.
 //   * Graceful degradation — when the model path fails (injected fault,
-//     NaN tripwire, bad checkpoint) recover() falls back to the structural
-//     matching baseline (Meade et al., ISCAS'16), which needs no model, and
-//     tags the summary `degraded`. A registry entry whose checkpoint never
-//     loaded degrades the same way without attempting a forward.
+//     NaN tripwire) recover() falls back to the structural matching
+//     baseline (Meade et al., ISCAS'16), which needs no model, and tags the
+//     summary `degraded`. A checkpoint that failed to load degrades the
+//     same way without attempting a forward, and leaves the engine
+//     unhealthy for its lifetime.
 #pragma once
 
 #include <atomic>
@@ -50,7 +47,6 @@
 #include "rebert/tokenizer.h"
 #include "runtime/latch.h"
 #include "runtime/thread_pool.h"
-#include "serve/model_registry.h"
 #include "util/mutex.h"
 #include "util/timer.h"
 
@@ -64,23 +60,16 @@ struct EngineOptions {
   /// Weight file produced by `rebert_cli train --save`. Empty = fresh
   /// (untrained) weights — scores are meaningless but the runtime paths
   /// are fully exercised, which is what the serve tests and benches need.
-  /// Ignored when manifest_path is set.
+  /// A file that fails to load leaves the engine serving degraded (see
+  /// model_healthy()) rather than failing construction.
   std::string model_path;
-  /// Model manifest (see model_registry.h) declaring several named
-  /// snapshots behind this engine. Empty = a single-entry registry built
-  /// from model_path.
-  std::string manifest_path;
   /// Model dimensions and pipeline knobs (tokenizer/filter/grouping). The
   /// model config is derived with core::make_model_config, so it must
-  /// match the checkpoints when model_path / manifest_path are set.
+  /// match the checkpoint when model_path is set.
   core::ExperimentOptions experiment;
   /// Admission budget: score/recover requests concurrently in flight
   /// before try_admit() starts shedding. 0 = unlimited (no shedding).
   int max_inflight = 0;
-  /// Per-bench admission budget: requests concurrently in flight against
-  /// any one bench before try_admit(bench) sheds for that bench only.
-  /// 0 = unlimited. Enforced on top of max_inflight.
-  int max_inflight_per_bench = 0;
   /// Advisory client backoff carried by shed responses
   /// (`err overloaded retry_after_ms=<n>`).
   int retry_after_ms = 50;
@@ -101,16 +90,11 @@ struct EngineStats {
   // Robustness gauges and counters (see class comment).
   int inflight = 0;            // admitted requests right now
   int max_inflight = 0;        // 0 = unlimited
-  bool model_healthy = true;   // last model forward succeeded
+  bool model_healthy = true;   // checkpoint loaded, last forward succeeded
   std::uint64_t shed_requests = 0;       // admission declines (all causes)
   std::uint64_t deadline_exceeded = 0;   // requests cancelled by deadline
   std::uint64_t degraded_recoveries = 0; // recovers answered structurally
   std::uint64_t faults_injected = 0;     // trips of the global FaultInjector
-  // Multi-model registry and per-bench budgets.
-  int models = 1;                          // registry entries
-  int unhealthy_models = 0;                // entries currently unhealthy
-  int max_inflight_per_bench = 0;          // 0 = unlimited
-  std::uint64_t bench_shed_requests = 0;   // per-bench budget declines
   // Active compute-kernel backend ("scalar" / "avx2"); see kernels/backend.h.
   std::string kernels;
 };
@@ -129,24 +113,17 @@ struct RecoverSummary {
 class InferenceEngine {
  public:
   /// RAII admission slot. Falsy when the budget was exhausted and the
-  /// request must be shed; releases its slot(s) on destruction otherwise.
-  /// A slot from try_admit(bench) also holds that bench's per-bench slot.
+  /// request must be shed; releases its slot on destruction otherwise.
   class Admission {
    public:
     Admission() = default;
     explicit Admission(InferenceEngine* engine) : engine_(engine) {}
     Admission(Admission&& other) noexcept
-        : engine_(other.engine_), bench_(std::move(other.bench_)) {
-      other.engine_ = nullptr;
-      other.bench_.clear();
-    }
+        : engine_(std::exchange(other.engine_, nullptr)) {}
     Admission& operator=(Admission&& other) noexcept {
       if (this != &other) {
         release();
-        engine_ = other.engine_;
-        bench_ = std::move(other.bench_);
-        other.engine_ = nullptr;
-        other.bench_.clear();
+        engine_ = std::exchange(other.engine_, nullptr);
       }
       return *this;
     }
@@ -158,8 +135,6 @@ class InferenceEngine {
    private:
     void release();
     InferenceEngine* engine_ = nullptr;
-    std::string bench_;  // non-empty: also holds this bench's slot
-    friend class InferenceEngine;
   };
 
   explicit InferenceEngine(EngineOptions options);
@@ -172,12 +147,7 @@ class InferenceEngine {
   /// `err overloaded` (the decline is counted in shed_requests). With
   /// max_inflight == 0 admission always succeeds but the in-flight gauge
   /// still tracks.
-  Admission try_admit() { return try_admit(std::string()); }
-
-  /// Like try_admit(), but additionally enforces max_inflight_per_bench
-  /// for `bench` (per-bench declines count in both bench_shed_requests
-  /// and shed_requests). An empty bench skips the per-bench check.
-  Admission try_admit(const std::string& bench) EXCLUDES(bench_slots_mu_);
+  Admission try_admit();
 
   /// The advisory backoff to attach to shed responses.
   int retry_after_ms() const { return options_.retry_after_ms; }
@@ -190,13 +160,12 @@ class InferenceEngine {
   }
 
   /// P(same word) for two bits (DFF names) of a benchmark. Throws
-  /// util::CheckError on unknown bench, bit, or model names. When `cancel`
-  /// fires (deadline or explicit stop) throws runtime::CancelledError.
-  /// `model` selects a registry entry ("" = size rule / default).
+  /// util::CheckError on unknown bench or bit names, or when the
+  /// checkpoint failed to load. When `cancel` fires (deadline or explicit
+  /// stop) throws runtime::CancelledError.
   double score(const std::string& bench, const std::string& bit_a,
                const std::string& bit_b,
-               runtime::CancellationToken* cancel = nullptr,
-               const std::string& model = "");
+               runtime::CancellationToken* cancel = nullptr);
 
   /// Batched form: scores every (bitA, bitB) name pair against one bench
   /// through core::score_pairs. Result order matches input order. With
@@ -208,29 +177,25 @@ class InferenceEngine {
   std::vector<double> score_batch(
       const std::string& bench,
       const std::vector<std::pair<std::string, std::string>>& bit_pairs,
-      runtime::CancellationToken* cancel = nullptr,
-      const std::string& model = "");
+      runtime::CancellationToken* cancel = nullptr);
 
   /// Full word recovery over a benchmark, parallelized on the engine pool.
-  /// A model-path failure — or an explicitly named model whose checkpoint
-  /// never loaded — degrades to the structural baseline (summary tagged
-  /// `degraded`); a fired `cancel` throws runtime::CancelledError.
+  /// A model-path failure — or a checkpoint that never loaded — degrades
+  /// to the structural baseline (summary tagged `degraded`); a fired
+  /// `cancel` throws runtime::CancelledError.
   RecoverSummary recover(const std::string& bench,
-                         runtime::CancellationToken* cancel = nullptr,
-                         const std::string& model = "");
+                         runtime::CancellationToken* cancel = nullptr);
 
-  /// False after a model forward failed (until one succeeds again) — what
-  /// the `health` verb reports as `degraded`.
+  /// False after a model forward failed (until one succeeds again), and
+  /// for good when the checkpoint failed to load — what the `health` verb
+  /// reports as `degraded`.
   bool model_healthy() const {
     return model_healthy_.load(std::memory_order_relaxed);
   }
 
   EngineStats stats() const;
 
-  /// The model registry behind score/recover (health reporting, tests).
-  ModelRegistry& registry() { return registry_; }
-
-  /// Warm-start the default model's prediction cache from an RBPC snapshot
+  /// Warm-start the prediction cache from an RBPC snapshot
   /// (persist/mmap_snapshot.h), validated and mapped as a zero-copy warm
   /// tier — O(1) in the record count, scores served off the mapping.
   /// Missing, truncated, corrupt or older-version files, and snapshots of
@@ -240,7 +205,7 @@ class InferenceEngine {
   /// stats() as warm_entries).
   std::size_t load_cache(const std::string& path);
 
-  /// Atomically snapshot the default prediction cache to `path` in the
+  /// Atomically snapshot the prediction cache to `path` in the
   /// mmap-able RBPC layout (crash mid-save leaves any previous snapshot
   /// intact; a process still mapping the replaced file keeps its old inode).
   /// Throws util::CheckError with errno detail on I/O failure. Safe to call
@@ -277,28 +242,24 @@ class InferenceEngine {
   int bit_index(const BenchContext& context, const std::string& bench,
                 const std::string& bit) const;
 
-  void release_bench_slot(const std::string& bench)
-      EXCLUDES(bench_slots_mu_);
-
-  /// Record the outcome of a model-path attempt on the engine gauge and
-  /// on `entry`.
-  void set_model_health(ModelRegistry::Entry& entry, bool healthy);
+  void set_model_health(bool healthy) {
+    model_healthy_.store(healthy, std::memory_order_relaxed);
+  }
 
   EngineOptions options_;
   core::Tokenizer tokenizer_;
   // The request thread participates in every parallel_for it issues, so
   // the pool holds one fewer worker than the resolved scoring width.
   runtime::ThreadPool pool_;
+  bert::BertPairClassifier model_;
+  // False for good when model_path failed to load: nothing is forwarded,
+  // and cache_ is never bound or read.
+  bool load_ok_ = true;
   core::ShardedPredictionCache cache_;
-  // After cache_: the registry's default entry aliases &cache_.
-  ModelRegistry registry_;
 
   mutable util::Mutex benches_mu_{"engine.benches"};
   std::map<std::string, std::unique_ptr<BenchContext>> benches_
       GUARDED_BY(benches_mu_);
-
-  mutable util::Mutex bench_slots_mu_{"engine.bench_slots"};
-  std::map<std::string, int> bench_inflight_ GUARDED_BY(bench_slots_mu_);
 
   std::atomic<std::uint64_t> score_requests_{0};
   std::atomic<std::uint64_t> recover_requests_{0};
@@ -306,7 +267,6 @@ class InferenceEngine {
   std::atomic<int> inflight_{0};
   std::atomic<bool> model_healthy_{true};
   std::atomic<std::uint64_t> shed_requests_{0};
-  std::atomic<std::uint64_t> bench_shed_requests_{0};
   std::atomic<std::uint64_t> deadline_exceeded_{0};
   std::atomic<std::uint64_t> degraded_recoveries_{0};
   util::WallTimer uptime_;

@@ -34,39 +34,20 @@ std::string sanitize_token(const std::string& token) {
   return safe;
 }
 
-/// Strip trailing `deadline_ms=<n>` / `model=<m>` tokens (any order, at
-/// most one each). Returns false (with *error set) when such a token is
-/// present but malformed.
-bool take_options(std::vector<std::string>* tokens, Request* request,
-                  std::string* error) {
+/// Strip a trailing `deadline_ms=<n>` token. Returns false (with *error
+/// set) when it is present but malformed.
+bool take_deadline(std::vector<std::string>* tokens, Request* request,
+                   std::string* error) {
   request->deadline_ms = 0;
-  request->model.clear();
-  bool saw_deadline = false;
-  bool saw_model = false;
-  while (!tokens->empty()) {
-    const std::string& last = tokens->back();
-    if (util::starts_with(last, "deadline_ms=")) {
-      int value = 0;
-      if (saw_deadline || !util::parse_int(last.substr(12), &value) ||
-          value < 0) {
-        *error = "bad deadline_ms in '" + sanitize_token(last) + "'";
-        return false;
-      }
-      request->deadline_ms = value;
-      saw_deadline = true;
-    } else if (util::starts_with(last, "model=")) {
-      const std::string name = last.substr(6);
-      if (saw_model || name.empty()) {
-        *error = "bad model in '" + sanitize_token(last) + "'";
-        return false;
-      }
-      request->model = name;
-      saw_model = true;
-    } else {
-      break;
-    }
-    tokens->pop_back();
+  const std::string& last = tokens->back();
+  if (!util::starts_with(last, "deadline_ms=")) return true;
+  int value = 0;
+  if (!util::parse_int(last.substr(12), &value) || value < 0) {
+    *error = "bad deadline_ms in '" + sanitize_token(last) + "'";
+    return false;
   }
+  request->deadline_ms = value;
+  tokens->pop_back();
   return true;
 }
 
@@ -79,20 +60,19 @@ Request parse_request(const std::string& line) {
   std::vector<std::string> tokens = util::split_ws(trimmed);
   const std::string verb = tokens[0];
   Request request;
-  std::string options_error;
-  if (!take_options(&tokens, &request, &options_error))
-    return invalid(options_error);
+  std::string deadline_error;
+  if (!take_deadline(&tokens, &request, &deadline_error))
+    return invalid(deadline_error);
   if (verb == "score") {
     if (tokens.size() != 4)
-      return invalid(
-          "usage: score <bench> <bitA> <bitB> [model=<m>] [deadline_ms=<n>]");
+      return invalid("usage: score <bench> <bitA> <bitB> [deadline_ms=<n>]");
     request.type = RequestType::kScore;
     request.bench = tokens[1];
     request.bit_a = tokens[2];
     request.bit_b = tokens[3];
   } else if (verb == "recover") {
     if (tokens.size() != 2)
-      return invalid("usage: recover <bench> [model=<m>] [deadline_ms=<n>]");
+      return invalid("usage: recover <bench> [deadline_ms=<n>]");
     request.type = RequestType::kRecover;
     request.bench = tokens[1];
   } else if (verb == "stats") {
@@ -148,9 +128,8 @@ int parse_retry_after_ms(const std::string& response) {
 }
 
 std::string help_text() {
-  return "commands: score <bench> <bitA> <bitB> [model=<m>] "
-         "[deadline_ms=<n>] | recover <bench> [model=<m>] "
-         "[deadline_ms=<n>] | stats | health | help | quit; "
+  return "commands: score <bench> <bitA> <bitB> [deadline_ms=<n>] | "
+         "recover <bench> [deadline_ms=<n>] | stats | health | help | quit; "
          "<bench> = b03..b18 or a .bench file path";
 }
 

@@ -1,9 +1,9 @@
 // Newline-delimited request/response protocol of the serving runtime.
 //
 // Requests (one per line, whitespace-tokenized):
-//   score <bench> <bitA> <bitB> [model=<m>] [deadline_ms=<n>]
+//   score <bench> <bitA> <bitB> [deadline_ms=<n>]
 //                                 P(same word) for two bits of a benchmark
-//   recover <bench> [model=<m>] [deadline_ms=<n>]
+//   recover <bench> [deadline_ms=<n>]
 //                                 full word recovery, summary line back
 //   stats                         engine / cache / request counters
 //   health                        ready | degraded | overloaded + gauges
@@ -23,13 +23,11 @@
 //                                       take the request; retry later
 //
 // A recover that had to fall back to the structural baseline (model
-// failure, numerics tripwire) succeeds with `degraded=structural` appended
-// to its payload.
+// failure, numerics tripwire, a checkpoint that never loaded) succeeds
+// with `degraded=structural` appended to its payload.
 //
-// `model=<m>` names a registry entry (see model_registry.h) when the
-// engine serves several snapshots; omitted, the engine's size-based
-// routing rule picks one. The trailing key=value fields may appear in
-// either order.
+// `deadline_ms=<n>` is recognised only as the last token; anywhere else
+// it is an ordinary argument and fails the arity check.
 //
 // <bench> is either a generated-suite name ("b03".."b18", circuitgen
 // scale set by the engine) or a path to a .bench netlist file. Responses
@@ -71,7 +69,6 @@ struct Request {
   std::string bench;   // score / recover
   std::string bit_a;   // score
   std::string bit_b;   // score
-  std::string model;   // score / recover: registry entry; "" = size rule
   int deadline_ms = 0; // score / recover: 0 = caller imposes no deadline
   std::string error;   // kInvalid: human-readable parse diagnosis
 };

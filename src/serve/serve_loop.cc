@@ -32,21 +32,16 @@ std::string format_stats(const EngineStats& stats) {
       << " faults_injected=" << stats.faults_injected
       << " uptime_seconds="
       << util::format_double(stats.uptime_seconds, 3)
-      // Multi-model / per-bench fields come last: existing consumers match
-      // on prefixes and substrings, so growth at the tail is compatible.
-      << " models=" << stats.models
-      << " unhealthy_models=" << stats.unhealthy_models
-      << " bench_shed_requests=" << stats.bench_shed_requests
       << " kernels=" << stats.kernels;
   return out.str();
 }
 
 /// The `health` payload: one coarse status plus the gauges behind it.
 /// `overloaded` reflects this instant's budget; `degraded` the last model
-/// forward (or a registry entry that never loaded); `ready` otherwise.
+/// forward (or a checkpoint that never loaded); `ready` otherwise.
 std::string format_health(const EngineStats& stats) {
   const char* status = "ready";
-  if (!stats.model_healthy || stats.unhealthy_models > 0) status = "degraded";
+  if (!stats.model_healthy) status = "degraded";
   if (stats.max_inflight > 0 && stats.inflight >= stats.max_inflight)
     status = "overloaded";
   std::ostringstream out;
@@ -56,8 +51,6 @@ std::string format_health(const EngineStats& stats) {
       << " deadline_exceeded=" << stats.deadline_exceeded
       << " degraded_recoveries=" << stats.degraded_recoveries
       << " faults_injected=" << stats.faults_injected
-      << " models=" << stats.models
-      << " unhealthy_models=" << stats.unhealthy_models
       << " kernels=" << stats.kernels;
   return out.str();
 }
@@ -139,11 +132,8 @@ std::string ServeLoop::dispatch(const Request& request, bool* quit) {
       case RequestType::kScore:
       case RequestType::kRecover: {
         // Admission first: a shed request costs one atomic decline, not a
-        // queued slot. The bench-aware overload also enforces the
-        // per-bench budget. The RAII ticket frees the slot(s) however we
-        // leave.
-        InferenceEngine::Admission admission =
-            engine_.try_admit(request.bench);
+        // queued slot. The RAII ticket frees the slot however we leave.
+        InferenceEngine::Admission admission = engine_.try_admit();
         if (!admission) return format_overloaded(engine_.retry_after_ms());
         runtime::CancellationToken deadline;
         runtime::CancellationToken* cancel = nullptr;
@@ -157,11 +147,11 @@ std::string ServeLoop::dispatch(const Request& request, bool* quit) {
         if (request.type == RequestType::kScore) {
           return format_ok(util::format_double(
               engine_.score(request.bench, request.bit_a, request.bit_b,
-                            cancel, request.model),
+                            cancel),
               6));
         }
         const RecoverSummary summary =
-            engine_.recover(request.bench, cancel, request.model);
+            engine_.recover(request.bench, cancel);
         std::string payload = format_recover(summary);
         if (summary.degraded) payload += " degraded=structural";
         return format_ok(payload);
@@ -182,9 +172,9 @@ std::string ServeLoop::dispatch(const Request& request, bool* quit) {
   } catch (const runtime::CancelledError&) {
     return format_error("deadline_exceeded");
   } catch (const std::exception& e) {
-    // Engine failures (unknown bench, parse error in a .bench file, an
-    // unknown model name, ...) answer this request only; the daemon keeps
-    // serving.
+    // Engine failures (unknown bench, parse error in a .bench file, a
+    // checkpoint that never loaded, ...) answer this request only; the
+    // daemon keeps serving.
     return format_error(single_line(e.what()));
   }
 }

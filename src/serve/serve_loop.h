@@ -79,13 +79,6 @@ class ServeLoop {
   /// dispatches.
   void set_max_connections(int n) { socket_server_.set_max_connections(n); }
 
-  /// listen(2) backlog for the socket transport; <= 0 (default) means
-  /// SOMAXCONN, so connection storms queue in the kernel long enough for
-  /// admission control to answer instead of ECONNREFUSED.
-  void set_listen_backlog(int backlog) {
-    socket_server_.set_listen_backlog(backlog);
-  }
-
   /// Threads in the socket transport's dispatch pool (the reactor never
   /// runs model work itself); <= 0 keeps the SocketServer default.
   void set_dispatch_threads(int n) { socket_server_.set_dispatch_threads(n); }

@@ -563,10 +563,11 @@ void SocketServer::run(const std::string& path) {
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
   std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-  const int backlog = listen_backlog_ > 0 ? listen_backlog_ : SOMAXCONN;
+  // A SOMAXCONN backlog lets a connection storm queue in the kernel until
+  // admission control answers it, instead of failing with ECONNREFUSED.
   if (::bind(listener, reinterpret_cast<const sockaddr*>(&addr),
              sizeof(addr)) != 0 ||
-      ::listen(listener, backlog) != 0) {
+      ::listen(listener, SOMAXCONN) != 0) {
     const std::string reason = util::errno_string(errno);
     ::close(listener);
     REBERT_CHECK_MSG(false, "cannot listen on " + path + ": " + reason);
@@ -593,7 +594,7 @@ void SocketServer::run(const std::string& path) {
   reactor.watch(wake_fd_, EPOLLIN);
   reactor.watch(listener, EPOLLIN);
   LOG_INFO << "serve: listening on unix socket " << path
-           << " (reactor, backlog " << backlog << ")";
+           << " (reactor, backlog " << SOMAXCONN << ")";
 
   reactor.loop();
 

@@ -83,11 +83,6 @@ class SocketServer {
   /// counts against the cap itself.
   void set_max_connections(int n) { max_connections_ = n; }
 
-  /// listen(2) backlog; <= 0 (the default) means SOMAXCONN. The old
-  /// hardcoded 16 got connection storms ECONNREFUSED in the kernel before
-  /// admission control could answer with retry_after_ms.
-  void set_listen_backlog(int backlog) { listen_backlog_ = backlog; }
-
   /// Threads in the internal dispatch pool that runs handle_line; <= 0
   /// (the default) picks kDefaultDispatchThreads.
   /// Takes effect on the next run().
@@ -128,7 +123,6 @@ class SocketServer {
 
   Callbacks callbacks_;
   int max_connections_ = 0;
-  int listen_backlog_ = 0;    // <= 0: SOMAXCONN
   int dispatch_threads_ = 0;  // <= 0: kDefaultDispatchThreads
   std::atomic<bool> stopping_{false};
   // eventfd owned for the server's whole life (created in the

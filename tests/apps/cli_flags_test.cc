@@ -47,6 +47,14 @@ TEST(CliFlagsTest, UnknownFlagPrintsUsageAndExitsTwo) {
         "--mirror-queue-depth 256", "--queue-depth 4",
         "--queue-timeout-ms 250", "--probe-interval-ms 200"})
     commands.push_back(cli + " route --socket unused.sock " + removed);
+  // The engine serves one model under one global admission budget, and the
+  // listen backlog is SOMAXCONN: the flags that used to vary these are gone.
+  for (const char* removed :
+       {"--manifest m", "--max-inflight-per-bench 1", "--listen-backlog 0"}) {
+    commands.push_back(cli + " route --socket unused.sock " + removed);
+    commands.push_back(cli + " score --bench b03 --pairs 2 " +
+                       std::string(removed));
+  }
   for (const std::string& command : commands) {
     const Outcome outcome = run_status(command);
     EXPECT_EQ(outcome.status, 2) << command << "\n" << outcome.output;

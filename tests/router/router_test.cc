@@ -148,14 +148,13 @@ TEST(RouterTest, ForwardsRequestsAndAnswersAdminLocally) {
       "score b03 " + bits[0] + " " + bits[1], &quit);
   EXPECT_TRUE(util::starts_with(score, "ok ")) << score;
 
-  // model= survives the relay verbatim — the backend resolves it against
-  // its own registry.
-  const std::string named = router.handle_line(
-      "score b03 " + bits[0] + " " + bits[1] + " model=default", &quit);
-  EXPECT_TRUE(util::starts_with(named, "ok ")) << named;
-  const std::string unknown = router.handle_line(
-      "score b03 " + bits[0] + " " + bits[1] + " model=nope", &quit);
-  EXPECT_TRUE(util::starts_with(unknown, "err ")) << unknown;
+  // deadline_ms= survives the relay verbatim — the backend parses it.
+  const std::string timed = router.handle_line(
+      "score b03 " + bits[0] + " " + bits[1] + " deadline_ms=0", &quit);
+  EXPECT_TRUE(util::starts_with(timed, "ok ")) << timed;
+  const std::string malformed = router.handle_line(
+      "score b03 " + bits[0] + " " + bits[1] + " deadline_ms=-1", &quit);
+  EXPECT_TRUE(util::starts_with(malformed, "err ")) << malformed;
 
   // Admin verbs are answered by the router itself.
   const std::string stats = router.handle_line("stats", &quit);

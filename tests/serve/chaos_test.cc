@@ -666,45 +666,41 @@ TEST_F(ChaosTest, TokenizerEncodeFaultFailsScoreButRecoverDegrades) {
             std::string::npos);
 }
 
-TEST_F(ChaosTest, PerBenchBudgetShedsOneBenchNotTheFleet) {
+TEST_F(ChaosTest, UnloadableCheckpointServesDegraded) {
+  // A checkpoint that fails to load must not stop the daemon: it starts
+  // degraded for good, recover answers through the structural baseline
+  // and score answers err.
+  const std::string garbage = ::testing::TempDir() + "/chaos_garbage.ckpt";
+  {
+    std::ofstream out(garbage, std::ios::binary | std::ios::trunc);
+    out << "zzz not weights zzz";
+  }
   EngineOptions options = small_options();
-  options.max_inflight = 8;           // the global budget is not the limit
-  options.max_inflight_per_bench = 1;
-  options.retry_after_ms = 7;
+  options.model_path = garbage;
   InferenceEngine engine(options);
-  const std::vector<std::string> b03 = engine.bit_names("b03");
-  const std::vector<std::string> b04 = engine.bit_names("b04");
-  ASSERT_GE(b03.size(), 2u);
-  ASSERT_GE(b04.size(), 2u);
+  EXPECT_FALSE(engine.model_healthy());
+  const std::vector<std::string> bits = engine.bit_names("b03");
+  ASSERT_GE(bits.size(), 2u);
   ServeLoop loop(engine);
   bool quit = false;
 
-  {
-    // Hold b03's only per-bench slot.
-    InferenceEngine::Admission held = engine.try_admit("b03");
-    ASSERT_TRUE(static_cast<bool>(held));
-    const std::string shed = loop.handle_line(
-        "score b03 " + b03[0] + " " + b03[1], &quit);
-    EXPECT_EQ(shed, "err overloaded retry_after_ms=7");
-    // The hot bench sheds; every other bench still clears admission.
-    EXPECT_TRUE(util::starts_with(
-        loop.handle_line("score b04 " + b04[0] + " " + b04[1], &quit),
-        "ok "));
-    const EngineStats pressured = engine.stats();
-    EXPECT_EQ(pressured.bench_shed_requests, 1u);
-    EXPECT_EQ(pressured.shed_requests, 1u);  // aggregated in one counter
-    EXPECT_EQ(pressured.max_inflight_per_bench, 1);
-    const std::string stats_line = loop.handle_line("stats", &quit);
-    EXPECT_NE(stats_line.find("bench_shed_requests=1"), std::string::npos)
-        << stats_line;
-  }
+  EXPECT_NE(loop.handle_line("health", &quit).find("status=degraded"),
+            std::string::npos);
+  const std::string score =
+      loop.handle_line("score b03 " + bits[0] + " " + bits[1], &quit);
+  EXPECT_TRUE(util::starts_with(score, "err ")) << score;
+  const std::string recover = loop.handle_line("recover b03", &quit);
+  EXPECT_TRUE(util::starts_with(recover, "ok words=")) << recover;
+  EXPECT_NE(recover.find("degraded=structural"), std::string::npos)
+      << recover;
 
-  // Slot released with the Admission: the same bench serves again, and a
-  // per-bench decline never leaked the global slot it briefly held.
-  EXPECT_EQ(engine.stats().inflight, 0);
-  EXPECT_TRUE(util::starts_with(
-      loop.handle_line("score b03 " + b03[0] + " " + b03[1], &quit),
-      "ok "));
+  const EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.degraded_recoveries, 1u);
+  EXPECT_FALSE(stats.model_healthy);  // a structural answer does not heal
+  EXPECT_EQ(stats.cache_hits + stats.cache_misses, 0u);
+  EXPECT_NE(loop.handle_line("health", &quit).find("status=degraded"),
+            std::string::npos);
+  std::remove(garbage.c_str());
 }
 
 }  // namespace

@@ -17,6 +17,13 @@ TEST(ParseRequestTest, ScoreArityChecked) {
   EXPECT_EQ(parse_request("score b03 q0").type, RequestType::kInvalid);
   EXPECT_EQ(parse_request("score b03 q0 q1 q2").type, RequestType::kInvalid);
   EXPECT_NE(parse_request("score b03 q0").error, "");
+  // The engine serves one model, so a trailing model= is an extra token.
+  for (const char* line : {"score b03 q0 q1 model=x",
+                           "score b03 q0 q1 model=x deadline_ms=5"}) {
+    const Request request = parse_request(line);
+    EXPECT_EQ(request.type, RequestType::kInvalid) << line;
+    EXPECT_EQ(request.error.rfind("usage: score", 0), 0u) << request.error;
+  }
 }
 
 TEST(ParseRequestTest, Recover) {
@@ -25,6 +32,9 @@ TEST(ParseRequestTest, Recover) {
   EXPECT_EQ(request.bench, "/tmp/c.bench");
   EXPECT_EQ(parse_request("recover").type, RequestType::kInvalid);
   EXPECT_EQ(parse_request("recover a b").type, RequestType::kInvalid);
+  const Request named = parse_request("recover b03 model=x");
+  EXPECT_EQ(named.type, RequestType::kInvalid);
+  EXPECT_EQ(named.error.rfind("usage: recover", 0), 0u) << named.error;
 }
 
 TEST(ParseRequestTest, StatsHelpQuit) {
@@ -65,6 +75,10 @@ TEST(ParseRequestTest, DeadlineSuffixParsed) {
   EXPECT_EQ(request.deadline_ms, 1000);
   // Absent -> 0, meaning "no deadline from this request".
   EXPECT_EQ(parse_request("recover b05").deadline_ms, 0);
+  request = parse_request("score b03 q0 q1 deadline_ms=0");
+  EXPECT_EQ(request.type, RequestType::kScore);
+  EXPECT_EQ(request.bit_b, "q1");
+  EXPECT_EQ(request.deadline_ms, 0);
 }
 
 TEST(ParseRequestTest, MalformedDeadlineRejected) {
