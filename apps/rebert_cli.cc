@@ -569,6 +569,9 @@ int cmd_route(const util::FlagParser& flags) {
   router::RouterOptions options;
   options.retry_after_ms = flags.get_int("retry-after-ms", 50);
   options.dispatch_threads = flags.get_int("dispatch-threads", 0);
+  // A refused connect means the backend is down: fail over to the warm
+  // replica now, not after polling for the supervisor's cold respawn.
+  options.client.connect_attempts = 1;
   router::Router router(options);
   for (std::size_t i = 0; i < backend_sockets.size(); ++i)
     router.add_backend("backend" + std::to_string(i), backend_sockets[i]);
@@ -607,8 +610,8 @@ int cmd_route(const util::FlagParser& flags) {
   return 0;
 }
 
-// call: one request over a Unix socket from the shell — what the smoke
-// tests and operators use instead of depending on nc/socat.
+// call: one request over a Unix socket from the shell — what operators
+// use instead of depending on nc/socat.
 int cmd_call(const util::FlagParser& flags) {
   const std::string socket_path = require_flag(flags, "socket");
   std::string line;

@@ -25,33 +25,17 @@
 //   overload  N clients, no retry — measures shedding + accepted latency
 //   retry     N clients via Client::request_with_retry — goodput with the
 //             deterministic capped backoff honouring retry_after_ms
-//
-// `--connections N` (or REBERT_OVERLOAD_CONNECTIONS) additionally sweeps
-// the reactor's C10K claim: 100 / 1000 / N connected-but-idle sockets
-// held open while active traffic runs, reporting the process thread
-// count, RSS, and accepted-request p95 at each point. The run fails when
-// the thread count grows with the connection count (the reactor must be
-// O(1) threads) or when p95 at the top of the sweep degrades by more
-// than 5x over the 100-connection baseline. Both ends of every
-// connection live in this process, so N is clamped to what RLIMIT_NOFILE
-// (raised to its hard limit first) can hold.
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include <sys/resource.h>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include "bench/common.h"
 #include "runtime/fault_injector.h"
-#include "runtime/threads.h"
 #include "serve/client_pool.h"
 #include "serve/engine.h"
 #include "serve/protocol.h"
@@ -153,53 +137,9 @@ PhaseResult run_phase(serve::ClientPool& pool, const std::string& bench,
   return result;
 }
 
-/// Open `count` connected-but-silent sockets against the daemon. Stops
-/// early (with a note) if the descriptor budget runs out.
-std::vector<int> open_idle_connections(const std::string& path, int count) {
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-  std::vector<int> idle;
-  idle.reserve(static_cast<std::size_t>(count));
-  for (int i = 0; i < count; ++i) {
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0) break;
-    int result;
-    do {
-      result = ::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                         sizeof(addr));
-    } while (result != 0 && errno == EINTR);
-    if (result != 0) {
-      ::close(fd);
-      break;
-    }
-    idle.push_back(fd);
-  }
-  if (static_cast<int>(idle.size()) < count)
-    std::printf("note: opened %zu of %d idle connections (fd budget)\n",
-                idle.size(), count);
-  return idle;
-}
-
-/// Raise RLIMIT_NOFILE to its hard limit and return how many idle
-/// connections this process can hold — both the client and the server
-/// end of every connection are in-process, so each one costs two
-/// descriptors; keep headroom for everything else.
-int max_idle_connections() {
-  rlimit limit{};
-  if (::getrlimit(RLIMIT_NOFILE, &limit) != 0) return 1000;
-  if (limit.rlim_cur < limit.rlim_max) {
-    limit.rlim_cur = limit.rlim_max;
-    (void)::setrlimit(RLIMIT_NOFILE, &limit);
-    (void)::getrlimit(RLIMIT_NOFILE, &limit);
-  }
-  const long budget = (static_cast<long>(limit.rlim_cur) - 256) / 2;
-  return static_cast<int>(std::max(100L, budget));
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   benchharness::BenchSetup setup = benchharness::load_bench_setup();
 
   const std::string bench =
@@ -211,11 +151,6 @@ int main(int argc, char** argv) {
       std::max(1, util::env_int("REBERT_OVERLOAD_INFLIGHT", 2));
   const int forward_ms =
       std::max(1, util::env_int("REBERT_OVERLOAD_FORWARD_MS", 2));
-  int connections = util::env_int("REBERT_OVERLOAD_CONNECTIONS", 0);
-  for (int arg = 1; arg + 1 < argc; ++arg)
-    if (std::strcmp(argv[arg], "--connections") == 0)
-      connections = std::atoi(argv[arg + 1]);
-
   // Deterministic slowness: every forward sleeps forward_ms, so a handful
   // of clients reliably exceeds the admission budget on any host.
   runtime::FaultInjector::global().arm("model.forward", 1.0, 7, forward_ms);
@@ -300,81 +235,6 @@ int main(int argc, char** argv) {
                   "%s\n", result.errors, phase.name);
       ++failures;
     }
-  }
-
-  if (connections > 0) {
-    // The C10K sweep: hold an idle herd at each point, run active traffic
-    // through it, and demand a flat thread count — the reactor plus the
-    // dispatch pool serve 10k connections with exactly the threads they
-    // serve 100 with.
-    const int cap = max_idle_connections();
-    if (connections > cap) {
-      std::printf("note: --connections %d clamped to %d by RLIMIT_NOFILE\n",
-                  connections, cap);
-      connections = cap;
-    }
-    std::vector<int> sweep_counts;
-    for (const int count : {100, 1000, connections})
-      if (count <= connections &&
-          (sweep_counts.empty() || count > sweep_counts.back()))
-        sweep_counts.push_back(count);
-
-    util::TextTable sweep_table({"idle conns", "threads", "rss (MiB)",
-                                 "accepted", "shed", "p50 (ms)", "p95 (ms)",
-                                 "p95 / base"});
-    util::CsvWriter sweep_csv(
-        "serve_c10k.csv", {"idle_connections", "threads", "rss_kb",
-                           "accepted", "shed", "errors", "p50_ms", "p95_ms",
-                           "p95_over_baseline"});
-    int baseline_threads = 0;
-    double baseline_p95 = 0.0;
-    for (const int count : sweep_counts) {
-      std::vector<int> idle = open_idle_connections(socket_path, count);
-      // Active mix through the idle herd: a couple of clients, same
-      // deterministic request stream as the unloaded phase.
-      const PhaseResult active =
-          run_phase(pool, bench, bits, 2, requests, /*with_retry=*/false);
-      const int threads = runtime::current_thread_count();
-      const long rss_kb = runtime::current_rss_kb();
-      for (const int fd : idle) ::close(fd);
-      if (baseline_threads == 0) baseline_threads = threads;
-      if (baseline_p95 == 0.0) baseline_p95 = active.p95_ms;
-      const double ratio =
-          baseline_p95 > 0.0 ? active.p95_ms / baseline_p95 : 0.0;
-      sweep_table.add_row(
-          {std::to_string(idle.size()), std::to_string(threads),
-           util::format_double(static_cast<double>(rss_kb) / 1024.0, 1),
-           std::to_string(active.accepted), std::to_string(active.shed),
-           util::format_double(active.p50_ms, 3),
-           util::format_double(active.p95_ms, 3),
-           util::format_double(ratio, 2) + "x"});
-      sweep_csv.add_row(
-          {std::to_string(idle.size()), std::to_string(threads),
-           std::to_string(rss_kb), std::to_string(active.accepted),
-           std::to_string(active.shed), std::to_string(active.errors),
-           util::format_double(active.p50_ms, 4),
-           util::format_double(active.p95_ms, 4),
-           util::format_double(ratio, 3)});
-      if (threads != baseline_threads) {
-        std::printf("FAIL: thread count grew with connections "
-                    "(%d at %d conns vs %d at baseline)\n",
-                    threads, count, baseline_threads);
-        ++failures;
-      }
-      if (active.errors > 0) {
-        std::printf("FAIL: %d errored request(s) at %d idle connections\n",
-                    active.errors, count);
-        ++failures;
-      }
-      if (ratio > 5.0) {
-        std::printf("FAIL: active p95 degraded %.1fx at %d idle "
-                    "connections\n", ratio, count);
-        ++failures;
-      }
-    }
-    std::printf("=== C10K sweep: idle connections vs threads / p95 ===\n");
-    sweep_table.print();
-    std::printf("CSV: serve_c10k.csv\n");
   }
 
   loop.stop();

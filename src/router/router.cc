@@ -30,13 +30,6 @@ constexpr std::size_t kMirrorQueueDepth = 256;
 /// Idle connections retained per backend pool.
 constexpr std::size_t kPoolMaxIdle = 8;
 
-/// One line, no trailing newline — same discipline as ServeLoop.
-std::string single_line(std::string text) {
-  for (char& c : text)
-    if (c == '\n' || c == '\r') c = ' ';
-  return text;
-}
-
 }  // namespace
 
 Router::Router(RouterOptions options)
@@ -382,7 +375,7 @@ std::string Router::handle_line(const std::string& line, bool* quit) {
     }
     return serve::format_error("unreachable");
   } catch (const std::exception& e) {
-    return serve::format_error(single_line(e.what()));
+    return serve::format_exception(e);
   }
 }
 

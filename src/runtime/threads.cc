@@ -47,6 +47,4 @@ int current_thread_count() {
   return static_cast<int>(proc_status_field("Threads"));
 }
 
-long current_rss_kb() { return proc_status_field("VmRSS"); }
-
 }  // namespace rebert::runtime

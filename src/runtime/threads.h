@@ -21,12 +21,7 @@ inline constexpr int kMaxThreads = 512;
 
 /// Threads currently alive in this process (the `Threads:` row of
 /// /proc/self/status); -1 where procfs is unavailable. What the reactor
-/// tests and the C10K bench use to prove connection count never buys a
-/// thread.
+/// tests use to prove connection count never buys a thread.
 int current_thread_count();
-
-/// Resident set size in KiB (the `VmRSS:` row of /proc/self/status); -1
-/// where procfs is unavailable.
-long current_rss_kb();
 
 }  // namespace rebert::runtime

@@ -4,6 +4,8 @@
 #include <string_view>
 #include <vector>
 
+#include "util/check.h"
+#include "util/logging.h"
 #include "util/string_utils.h"
 
 namespace rebert::serve {
@@ -60,26 +62,27 @@ Request parse_request(const std::string& line) {
   std::vector<std::string> tokens = util::split_ws(trimmed);
   const std::string verb = tokens[0];
   Request request;
-  std::string deadline_error;
-  if (!take_deadline(&tokens, &request, &deadline_error))
-    return invalid(deadline_error);
-  if (verb == "score") {
-    if (tokens.size() != 4)
-      return invalid("usage: score <bench> <bitA> <bitB> [deadline_ms=<n>]");
-    request.type = RequestType::kScore;
+  if (verb == "score" || verb == "recover") {
+    std::string deadline_error;
+    if (!take_deadline(&tokens, &request, &deadline_error))
+      return invalid(deadline_error);
+    if (verb == "score") {
+      if (tokens.size() != 4)
+        return invalid("usage: score <bench> <bitA> <bitB> [deadline_ms=<n>]");
+      request.type = RequestType::kScore;
+      request.bit_a = tokens[2];
+      request.bit_b = tokens[3];
+    } else {
+      if (tokens.size() != 2)
+        return invalid("usage: recover <bench> [deadline_ms=<n>]");
+      request.type = RequestType::kRecover;
+    }
     request.bench = tokens[1];
-    request.bit_a = tokens[2];
-    request.bit_b = tokens[3];
-  } else if (verb == "recover") {
-    if (tokens.size() != 2)
-      return invalid("usage: recover <bench> [deadline_ms=<n>]");
-    request.type = RequestType::kRecover;
-    request.bench = tokens[1];
-  } else if (verb == "stats") {
-    if (tokens.size() != 1) return invalid("usage: stats");
+    return request;
+  }
+  if (verb == "stats") {
     request.type = RequestType::kStats;
   } else if (verb == "health") {
-    if (tokens.size() != 1) return invalid("usage: health");
     request.type = RequestType::kHealth;
   } else if (verb == "help") {
     request.type = RequestType::kHelp;
@@ -89,6 +92,8 @@ Request parse_request(const std::string& line) {
     return invalid("unknown request '" + sanitize_token(verb) +
                    "' (try: help)");
   }
+  // The remaining verbs take no arguments, deadline_ms= included.
+  if (tokens.size() != 1) return invalid("usage: " + verb);
   return request;
 }
 
@@ -102,6 +107,17 @@ std::string format_ok(const std::string& payload) {
 
 std::string format_error(const std::string& message) {
   return "err " + message;
+}
+
+std::string format_exception(const std::exception& error) {
+  std::string message = error.what();
+  if (const auto* check = dynamic_cast<const util::CheckError*>(&error)) {
+    LOG_WARN << "request failed: " << message;
+    message = check->message();
+  }
+  for (char& c : message)
+    if (c == '\n' || c == '\r') c = ' ';
+  return format_error(message);
 }
 
 std::string format_overloaded(int retry_after_ms) {

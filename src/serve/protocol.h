@@ -26,8 +26,9 @@
 // failure, numerics tripwire, a checkpoint that never loaded) succeeds
 // with `degraded=structural` appended to its payload.
 //
-// `deadline_ms=<n>` is recognised only as the last token; anywhere else
-// it is an ordinary argument and fails the arity check.
+// `deadline_ms=<n>` is recognised only as the last token of score and
+// recover; anywhere else it is an ordinary argument and fails the arity
+// check. stats, health, help and quit (or exit) take no arguments.
 //
 // <bench> is either a generated-suite name ("b03".."b18", circuitgen
 // scale set by the engine) or a path to a .bench netlist file. Responses
@@ -37,6 +38,7 @@
 #pragma once
 
 #include <cstddef>
+#include <exception>
 #include <string>
 
 namespace rebert::serve {
@@ -99,6 +101,11 @@ int parse_retry_after_ms(const std::string& response);
 
 /// The `help` response payload (single line).
 std::string help_text();
+
+/// The `err` answer for an exception a request raised, on one line. A
+/// util::CheckError answers with its message() and leaves its source
+/// location to a LOG_WARN of the full text.
+std::string format_exception(const std::exception& error);
 
 /// The refusal for an over-length request line (format_error payload
 /// included), shared by every transport that enforces the cap.

@@ -65,14 +65,6 @@ std::string format_recover(const RecoverSummary& summary) {
   return out.str();
 }
 
-/// One line, no trailing newline: what a response must collapse to if an
-/// engine error message happens to contain one.
-std::string single_line(std::string text) {
-  for (char& c : text)
-    if (c == '\n' || c == '\r') c = ' ';
-  return text;
-}
-
 }  // namespace
 
 ServeLoop::ServeLoop(InferenceEngine& engine)
@@ -175,7 +167,7 @@ std::string ServeLoop::dispatch(const Request& request, bool* quit) {
     // Engine failures (unknown bench, parse error in a .bench file, a
     // checkpoint that never loaded, ...) answer this request only; the
     // daemon keeps serving.
-    return format_error(single_line(e.what()));
+    return format_exception(e);
   }
 }
 

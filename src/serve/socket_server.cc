@@ -35,14 +35,6 @@ constexpr std::size_t kMaxWriteQueueBytes = 4u << 20;
 
 constexpr int kMaxEpollEvents = 256;
 
-/// Collapse an exception message to one response-safe line.
-std::string error_single_line(const char* what) {
-  std::string text = what == nullptr ? "dispatch failed" : what;
-  for (char& c : text)
-    if (c == '\n' || c == '\r') c = ' ';
-  return text;
-}
-
 }  // namespace
 
 // The per-run() epoll state machine. Everything here — the listener, the
@@ -257,7 +249,7 @@ struct SocketServer::Reactor {
           // request still gets an answer and — critically — inflight
           // still decrements, so the connection is never wedged busy and
           // stop()'s drain cannot spin forever.
-          done.bytes = format_error(error_single_line(e.what())) + "\n";
+          done.bytes = format_exception(e) + "\n";
         } catch (...) {
           done.bytes = format_error("dispatch failed") + "\n";
         }
@@ -266,7 +258,7 @@ struct SocketServer::Reactor {
     } catch (const std::exception& e) {
       // The pool.submit chaos site trips here: the request still gets a
       // well-formed error answer instead of a dropped connection.
-      server_.complete({id, format_error(error_single_line(e.what())) + "\n",
+      server_.complete({id, format_exception(e) + "\n",
                         /*close=*/false, /*answered=*/true});
     }
   }

@@ -16,14 +16,29 @@ namespace rebert::util {
 class CheckError : public std::runtime_error {
  public:
   explicit CheckError(const std::string& what) : std::runtime_error(what) {}
+
+  /// The failure without the source location a failed check's what()
+  /// carries: its REBERT_CHECK_MSG message, else `check failed: <cond>`.
+  /// Parsed back out of what() so a check site costs no more code.
+  std::string message() const {
+    const std::string text = what();
+    if (text.rfind(kPrefix, 0) != 0) return text;  // thrown directly
+    const std::size_t msg = text.find(kSeparator);
+    if (msg != std::string::npos)
+      return text.substr(msg + std::char_traits<char>::length(kSeparator));
+    return text.substr(0, text.rfind(" at "));
+  }
+
+  static constexpr const char* kPrefix = "check failed: ";
+  static constexpr const char* kSeparator = " — ";
 };
 
 namespace detail {
 [[noreturn]] inline void check_failed(const char* cond, const char* file,
                                       int line, const std::string& msg) {
   std::ostringstream os;
-  os << "check failed: " << cond << " at " << file << ":" << line;
-  if (!msg.empty()) os << " — " << msg;
+  os << CheckError::kPrefix << cond << " at " << file << ":" << line;
+  if (!msg.empty()) os << CheckError::kSeparator << msg;
   throw CheckError(os.str());
 }
 }  // namespace detail

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
+#include "util/check.h"
+
 namespace rebert::serve {
 namespace {
 
@@ -43,6 +47,18 @@ TEST(ParseRequestTest, StatsHelpQuit) {
   EXPECT_EQ(parse_request("help").type, RequestType::kHelp);
   EXPECT_EQ(parse_request("quit").type, RequestType::kQuit);
   EXPECT_EQ(parse_request("exit").type, RequestType::kQuit);
+  // deadline_ms= belongs to score and recover only: anywhere else it is an
+  // argument like any other, and these verbs take none.
+  for (const char* line : {"stats deadline_ms=5", "health deadline_ms=5",
+                           "help me please", "quit now", "exit now"}) {
+    const Request request = parse_request(line);
+    EXPECT_EQ(request.type, RequestType::kInvalid) << line;
+    EXPECT_EQ(format_error(request.error).rfind("err usage: ", 0), 0u)
+        << request.error;
+  }
+  EXPECT_EQ(parse_request("stats deadline_ms=5").error, "usage: stats");
+  EXPECT_EQ(parse_request("help me please").error, "usage: help");
+  EXPECT_EQ(parse_request("quit now").error, "usage: quit");
 }
 
 TEST(ParseRequestTest, WhitespaceTolerant) {
@@ -155,6 +171,12 @@ TEST(FormatTest, OkAndError) {
   EXPECT_EQ(format_ok(""), "ok");
   EXPECT_EQ(format_ok("0.5"), "ok 0.5");
   EXPECT_EQ(format_error("boom"), "err boom");
+  // An exception answers on one line; a failed check without its location.
+  EXPECT_EQ(format_exception(std::runtime_error("bad\nbench")),
+            "err bad bench");
+  EXPECT_EQ(format_exception(util::CheckError(
+                "check failed: ok at /src/engine.cc:9 — boom")),
+            "err boom");
 }
 
 TEST(FormatTest, HelpIsSingleLine) {

@@ -40,6 +40,8 @@ TEST(CheckTest, MessageContainsConditionFileAndLine) {
     EXPECT_NE(what.find("check_test.cc"), std::string::npos) << what;
     // A line number follows the file name ("file:line").
     EXPECT_NE(what.find("check_test.cc:"), std::string::npos) << what;
+    // message() is the same failure without the location.
+    EXPECT_EQ(e.message(), "check failed: 2 + 2 == 5");
   }
 }
 
@@ -55,6 +57,13 @@ TEST(CheckTest, MsgVariantStreamsValues) {
     EXPECT_NE(what.find("netlist 'b03' has 7 gates"), std::string::npos)
         << what;
     EXPECT_NE(what.find("gates == 8"), std::string::npos) << what;
+    EXPECT_EQ(e.message(), "netlist 'b03' has 7 gates");
+  }
+  // An error thrown directly has no location to drop.
+  try {
+    throw CheckError("unix socket path too long at 120 bytes");
+  } catch (const CheckError& e) {
+    EXPECT_EQ(e.message(), "unix socket path too long at 120 bytes");
   }
 }
 
