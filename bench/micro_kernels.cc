@@ -2,13 +2,15 @@
 // its time in: tokenization, Jaccard filtering, attention forward, GEMM,
 // ARI, corruption, structural matching — plus the per-backend kernel
 // rows (GEMM GFLOP/s, packed vs unpacked GEMM on the forward's shapes,
-// fused softmax/LayerNorm/GELU) of the dispatched kernel subsystem
+// fused softmax/LayerNorm/GELU, and the attention steps of one head on
+// recover's sequence lengths) of the dispatched kernel subsystem
 // (src/kernels). Acceptance for the AVX2 backend: >= 4x scalar GEMM
 // GFLOP/s in the BM_KernelGemm rows.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bert/attention.h"
@@ -189,6 +191,42 @@ void BM_KernelGelu(benchmark::State& state, kernels::Backend backend) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 
+/// The three attention steps of one head as `recover` runs them (head
+/// width 16, args are n, the pair's token rows): S = Q K^T (gemm_nt
+/// n x 16 x n), softmax over S's rows, and P V (gemm n x n x 16).
+enum class AttentionStep { kScores, kSoftmax, kProbsTimesValues };
+
+void BM_KernelAttentionShape(benchmark::State& state,
+                             kernels::Backend backend, AttentionStep step) {
+  const kernels::KernelTable& table = kernels::table_for(backend);
+  util::Rng rng(16);
+  const int n = static_cast<int>(state.range(0));
+  constexpr int kHeadDim = 16;
+  const tensor::Tensor q = tensor::Tensor::randn({n, kHeadDim}, rng);
+  const tensor::Tensor k = tensor::Tensor::randn({n, kHeadDim}, rng);
+  const tensor::Tensor scores = tensor::Tensor::randn({n, n}, rng, 3.0f);
+  tensor::Tensor probs = scores;
+  table.softmax_rows(probs.data(), n, n);
+  tensor::Tensor out({n, std::max(n, kHeadDim)});
+  for (auto _ : state) {
+    switch (step) {
+      case AttentionStep::kScores:
+        table.gemm_nt(q.data(), k.data(), out.data(), n, kHeadDim, n);
+        break;
+      case AttentionStep::kSoftmax:
+        std::copy(scores.data(), scores.data() + scores.numel(), out.data());
+        table.softmax_rows(out.data(), n, n);
+        break;
+      case AttentionStep::kProbsTimesValues:
+        table.gemm(probs.data(), k.data(), out.data(), n, n, kHeadDim);
+        break;
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+
 void register_backend_benchmarks() {
   for (kernels::Backend backend :
        {kernels::Backend::kScalar, kernels::Backend::kAvx2}) {
@@ -216,15 +254,31 @@ void register_backend_benchmarks() {
     benchmark::RegisterBenchmark(("BM_KernelGelu/" + suffix).c_str(),
                                  BM_KernelGelu, backend)
         ->Arg(1 << 14);
+    const std::pair<const char*, AttentionStep> steps[] = {
+        {"scores", AttentionStep::kScores},
+        {"softmax", AttentionStep::kSoftmax},
+        {"probs_x_values", AttentionStep::kProbsTimesValues}};
+    for (const auto& [step_name, step] : steps)
+      benchmark::RegisterBenchmark(
+          (std::string("BM_KernelAttentionShape/") + step_name + "/" + suffix)
+              .c_str(),
+          BM_KernelAttentionShape, backend, step)
+          ->Arg(28)->Arg(54)->Arg(160);  // b17 recover: p50, mean-ish, max
   }
 }
 
-void BM_PairPrediction(benchmark::State& state) {
+/// One pair forward at the eval profile (`eval`, H=64, 2 layers: what
+/// recover runs) or the paper's (`paper`, H=768, 12 layers, 12 heads;
+/// untrained, since forward cost does not depend on the weights, but its
+/// ~85M parameters take about 1 GB with gradients and packed copies, so
+/// main() registers it only when --benchmark_filter names it).
+void BM_PairPrediction(benchmark::State& state, bool paper) {
   const auto& circuit = circuit_b05();
   const core::Tokenizer tokenizer(
       {.backtrace_depth = 6, .tree_code_dim = 16, .max_seq_len = 256});
   const auto sequences = tokenizer.tokenize_bits(circuit.netlist);
-  bert::BertConfig config = bert::eval_config(32, 256);
+  bert::BertConfig config = paper ? bert::paper_config(32, 256)
+                                  : bert::eval_config(32, 256);
   config.tree_code_dim = 16;
   bert::BertPairClassifier model(config);
   std::size_t i = 0;
@@ -236,7 +290,18 @@ void BM_PairPrediction(benchmark::State& state) {
     ++i;
   }
 }
-BENCHMARK(BM_PairPrediction);
+BENCHMARK_CAPTURE(BM_PairPrediction, eval, false);
+
+bool filter_names_paper(int argc, char** argv) {
+  const std::string flag = "--benchmark_filter=";
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg.rfind(flag, 0) == 0 &&
+        arg.find("paper", flag.size()) != std::string::npos)
+      return true;
+  }
+  return false;
+}
 
 void BM_AdjustedRandIndex(benchmark::State& state) {
   util::Rng rng(3);
@@ -274,6 +339,9 @@ BENCHMARK(BM_StructuralRecovery);
 
 int main(int argc, char** argv) {
   register_backend_benchmarks();
+  if (filter_names_paper(argc, argv))
+    benchmark::RegisterBenchmark("BM_PairPrediction/paper", BM_PairPrediction,
+                                 true);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

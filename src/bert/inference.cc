@@ -10,13 +10,14 @@
 // [H, 3H] matrix, so one GEMM projects all three.
 //
 // The classifier head reads only the final hidden state of [CLS] (row
-// 0), so the last layer runs past its QKV projection on that row alone:
-// row 0's attention over all n keys and values, the output projection,
-// both Add & Norms and the FFN. This stays bitwise equal to the training
-// forward's row 0 because every kernel is row-independent: each GEMM
-// element is one fixed-order reduction over its own A row, softmax and
-// LayerNorm work per row, GELU per element, and the residual axpy adds
-// with alpha 1, which rounds the same in a vector lane or a scalar tail.
+// 0), so the last layer projects Q for that row alone (K and V still for
+// all n rows) and runs the rest on it: row 0's attention over all n keys
+// and values, the output projection, both Add & Norms and the FFN. This
+// stays bitwise equal to the training forward's row 0 because every
+// kernel is row-independent: each GEMM element is one fixed-order
+// reduction over its own A row, softmax and LayerNorm work per row, GELU
+// per element, and the residual axpy adds with alpha 1, which rounds the
+// same in a vector lane or a scalar tail.
 #include <algorithm>
 #include <cmath>
 #include <cstring>
@@ -48,8 +49,17 @@ struct BertPairClassifier::PackedWeights {
     static Linear pack(std::initializer_list<const tensor::Linear*> parts);
 
     void apply(const float* x, int rows, float* y) const {
-      kernels::gemm_packed(x, weight.data(), y, rows, in, out);
-      kernels::add_row_bias(y, bias.data(), rows, out);
+      apply_columns(x, rows, 0, out, y);
+    }
+
+    /// Output columns [c0, c0 + cols) alone, as [rows, cols], bitwise
+    /// equal to those columns of apply(); c0 starts a pack_b panel.
+    void apply_columns(const float* x, int rows, int c0, int cols,
+                       float* y) const {
+      const float* panels =
+          weight.data() + static_cast<std::size_t>(c0) * in;
+      kernels::gemm_packed(x, panels, y, rows, in, cols);
+      kernels::add_row_bias(y, bias.data() + c0, rows, cols);
     }
   };
   struct Layer {
@@ -211,9 +221,18 @@ Tensor BertPairClassifier::inference_logits(
     const std::size_t ri = static_cast<std::size_t>(rows) * inter;
     kernels::ArenaScope layer_scope;
     float* qkv = layer_scope.floats(3 * nh);
-    w.qkv.apply(x, n, qkv);
+    int qkv_ld = 3 * hidden;
+    if (rows == 1 && hidden % kernels::kPanelWidth == 0) {
+      // Q on the [CLS] row, then K|V on all n rows as [n, 2H] after it;
+      // attend_heads reads Q's row 0 only, so one stride serves both.
+      w.qkv.apply_columns(x, 1, 0, hidden, qkv);
+      w.qkv.apply_columns(x, n, hidden, 2 * hidden, qkv + hidden);
+      qkv_ld = 2 * hidden;
+    } else {
+      w.qkv.apply(x, n, qkv);
+    }
     float* concat = layer_scope.floats(rh);
-    attend_heads(qkv, qkv + hidden, qkv + 2 * hidden, 3 * hidden, rows, n,
+    attend_heads(qkv, qkv + hidden, qkv + 2 * hidden, qkv_ld, rows, n,
                  layer.attention_.num_heads_, layer.attention_.head_dim_,
                  input.valid_len, concat, nullptr);
     float* att = layer_scope.floats(rh);

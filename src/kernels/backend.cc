@@ -26,6 +26,14 @@ bool cpu_has_avx2_fma() {
 #endif
 }
 
+bool cpu_has_avx512f() {
+#if defined(REBERT_HAVE_AVX512_BUILD) && defined(__GNUC__)
+  return __builtin_cpu_supports("avx512f");
+#else
+  return false;
+#endif
+}
+
 Backend best_available() {
   return cpu_has_avx2_fma() ? Backend::kAvx2 : Backend::kScalar;
 }
@@ -71,9 +79,16 @@ bool backend_available(Backend backend) {
   return false;
 }
 
+bool avx2_runs_wide() { return avx2_available() && cpu_has_avx512f(); }
+
 const KernelTable& table_for(Backend backend) {
 #if defined(REBERT_HAVE_AVX2_BUILD)
-  if (backend == Backend::kAvx2 && avx2_available()) return avx2_table();
+  if (backend == Backend::kAvx2 && avx2_available()) {
+#if defined(REBERT_HAVE_AVX512_BUILD)
+    if (avx2_runs_wide()) return avx2_wide_table();
+#endif
+    return avx2_table();
+  }
 #else
   (void)backend;
 #endif

@@ -5,6 +5,9 @@
 // an AVX2+FMA path compiled into its own translation unit with -mavx2
 // -mfma and selected only after a cpuid probe, so the binary stays legal
 // on any x86-64 (and non-x86 builds simply never compile the SIMD TU).
+// Where cpuid also reports AVX-512F, the avx2 backend runs its GEMM from
+// a 512-bit TU that computes the same bits (kernels.h
+// avx2_wide_table()); the name stays "avx2".
 //
 // Selection, in priority order:
 //   1. set_backend() / apply_backend_spec() — the `--kernels` CLI flag.

@@ -11,6 +11,10 @@
 // buffers) comes from the per-thread Arena (arena.h), so the hot path
 // performs zero malloc/free regardless of backend.
 //
+// The avx2 backend runs its GEMM 512 bits wide where the CPU has
+// AVX-512F, with the 256-bit table's bits (avx2_wide_table() below); it
+// is one backend, reported and fingerprinted as "avx2".
+//
 // Aliasing rules: output buffers must not overlap inputs unless the
 // kernel is documented in-place (softmax_rows, add_row_bias, scale,
 // axpy). gemm* require c to be disjoint from a and b.
@@ -140,5 +144,16 @@ const KernelTable& scalar_table();
 #if defined(REBERT_HAVE_AVX2_BUILD)
 const KernelTable& avx2_table();
 #endif
+#if defined(REBERT_HAVE_AVX512_BUILD)
+/// The avx2 table with 512-bit gemm and gemm_packed, bitwise equal to
+/// avx2_table(); call only when avx2_runs_wide().
+const KernelTable& avx2_wide_table();
+#endif
+
+/// True when table_for(Backend::kAvx2) is the wide table: the build has
+/// the 512-bit TU and cpuid reports AVX2, FMA and AVX-512F. Nothing
+/// outside the tests needs the 256-bit table on such a CPU, so there is
+/// no switch back to it.
+bool avx2_runs_wide();
 
 }  // namespace rebert::kernels

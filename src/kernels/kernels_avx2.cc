@@ -1,6 +1,11 @@
 // AVX2+FMA backend. Compiled with -mavx2 -mfma in this TU only (see
 // CMakeLists.txt); the rest of the binary stays plain x86-64 and
-// backend.cc only dispatches here after a cpuid probe.
+// backend.cc only dispatches here after a cpuid probe. On CPUs with
+// AVX-512F the same backend runs its GEMM 512 bits wide
+// (kernels_avx2_wide.cc, the avx2_wide_table() below): every output
+// element is still computed by the same chain of IEEE operations, so the
+// bits, the backend name and the model fingerprint are those of the
+// 256-bit table.
 //
 // GEMM is packed + register-blocked: B comes in the shared 16-column
 // panel layout (kernels.h pack_b) — packed once at model load for
@@ -24,6 +29,7 @@
 #include <cstring>
 
 #include "kernels/arena.h"
+#include "kernels/avx2_wide.h"
 #include "kernels/kernels.h"
 
 #if defined(REBERT_HAVE_AVX2_BUILD)
@@ -64,6 +70,35 @@ inline bool all_finite(const float* x, int n) {
   for (; i < n; ++i)
     if (!std::isfinite(x[i])) return false;
   return true;
+}
+
+/// In-place 8 x 8 transpose: afterwards lane r of t[c] is what lane c of
+/// t[r] was. Pure data movement, so it changes no bits.
+inline void transpose8(__m256 (&t)[8]) {
+  const __m256 a0 = _mm256_unpacklo_ps(t[0], t[1]);
+  const __m256 a1 = _mm256_unpackhi_ps(t[0], t[1]);
+  const __m256 a2 = _mm256_unpacklo_ps(t[2], t[3]);
+  const __m256 a3 = _mm256_unpackhi_ps(t[2], t[3]);
+  const __m256 a4 = _mm256_unpacklo_ps(t[4], t[5]);
+  const __m256 a5 = _mm256_unpackhi_ps(t[4], t[5]);
+  const __m256 a6 = _mm256_unpacklo_ps(t[6], t[7]);
+  const __m256 a7 = _mm256_unpackhi_ps(t[6], t[7]);
+  const __m256 b0 = _mm256_shuffle_ps(a0, a2, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 b1 = _mm256_shuffle_ps(a0, a2, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 b2 = _mm256_shuffle_ps(a1, a3, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 b3 = _mm256_shuffle_ps(a1, a3, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 b4 = _mm256_shuffle_ps(a4, a6, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 b5 = _mm256_shuffle_ps(a4, a6, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 b6 = _mm256_shuffle_ps(a5, a7, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 b7 = _mm256_shuffle_ps(a5, a7, _MM_SHUFFLE(3, 2, 3, 2));
+  t[0] = _mm256_permute2f128_ps(b0, b4, 0x20);
+  t[1] = _mm256_permute2f128_ps(b1, b5, 0x20);
+  t[2] = _mm256_permute2f128_ps(b2, b6, 0x20);
+  t[3] = _mm256_permute2f128_ps(b3, b7, 0x20);
+  t[4] = _mm256_permute2f128_ps(b0, b4, 0x31);
+  t[5] = _mm256_permute2f128_ps(b1, b5, 0x31);
+  t[6] = _mm256_permute2f128_ps(b2, b6, 0x31);
+  t[7] = _mm256_permute2f128_ps(b3, b7, 0x31);
 }
 
 /// Cephes-style expf on 8 lanes. Valid for finite inputs (callers route
@@ -109,8 +144,25 @@ inline __m256 exp8(__m256 x) {
 /// ap[kk*kMR + r] = A[i0+r, kk]. The inner kernel then broadcasts from
 /// one sequential stream instead of six strided row pointers — the
 /// latter costs six extra address registers and spills the accumulators.
+/// Full strips move 8 columns at a time through an 8 x 8 transpose (rows
+/// 6 and 7 zero, and masked off at the store); the rest go one float at
+/// a time.
 void pack_a_strip(const float* a, int lda, int h, int k, float* ap) {
-  for (int kk = 0; kk < k; ++kk) {
+  int kk = 0;
+  if (h == kMR) {
+    const __m256i six = _mm256_setr_epi32(-1, -1, -1, -1, -1, -1, 0, 0);
+    for (; kk + 8 <= k; kk += 8) {
+      __m256 t[8];
+      for (int r = 0; r < kMR; ++r)
+        t[r] = _mm256_loadu_ps(a + static_cast<std::size_t>(r) * lda + kk);
+      t[6] = t[7] = _mm256_setzero_ps();
+      transpose8(t);
+      for (int c = 0; c < 8; ++c)
+        _mm256_maskstore_ps(ap + static_cast<std::size_t>(kk + c) * kMR, six,
+                            t[c]);
+    }
+  }
+  for (; kk < k; ++kk) {
     float* dst = ap + static_cast<std::size_t>(kk) * kMR;
     for (int r = 0; r < h; ++r)
       dst[r] = a[static_cast<std::size_t>(r) * lda + kk];
@@ -175,17 +227,12 @@ void gemm_kernel(const float* ap, const float* panel, float* c, int ldc,
   }
 }
 
-void avx2_gemm_packed(const float* a, const float* packed_b, float* c,
-                      int m, int k, int n) {
-  ArenaScope scratch;
-  // A packed once into kMR-row strips, reused across every B panel.
+/// C = packed A strips * packed B, every strip against every panel: the
+/// 256-bit panel loop (wide::gemm_panels is the 512-bit one).
+void gemm_panels8(const float* apack, const float* packed_b, float* c,
+                  int m, int k, int n) {
   const int strips = (m + kMR - 1) / kMR;
   const std::size_t strip_floats = static_cast<std::size_t>(k) * kMR;
-  float* apack = scratch.floats(static_cast<std::size_t>(strips) *
-                                strip_floats);
-  for (int s = 0; s < strips; ++s)
-    pack_a_strip(a + static_cast<std::size_t>(s) * kMR * k, k,
-                 std::min(kMR, m - s * kMR), k, apack + s * strip_floats);
   const float* panel = packed_b;
   for (int j0 = 0; j0 < n; j0 += kNR) {
     const int w = std::min(kNR, n - j0);
@@ -197,6 +244,25 @@ void avx2_gemm_packed(const float* a, const float* packed_b, float* c,
   }
 }
 
+using PanelLoop = void (*)(const float* apack, const float* packed_b,
+                           float* c, int m, int k, int n);
+
+template <PanelLoop kPanels>
+void avx2_gemm_packed(const float* a, const float* packed_b, float* c,
+                      int m, int k, int n) {
+  ArenaScope scratch;
+  // A packed once into kMR-row strips, reused across every B panel.
+  const int strips = (m + kMR - 1) / kMR;
+  const std::size_t strip_floats = static_cast<std::size_t>(k) * kMR;
+  float* apack = scratch.floats(static_cast<std::size_t>(strips) *
+                                strip_floats);
+  for (int s = 0; s < strips; ++s)
+    pack_a_strip(a + static_cast<std::size_t>(s) * kMR * k, k,
+                 std::min(kMR, m - s * kMR), k, apack + s * strip_floats);
+  kPanels(apack, packed_b, c, m, k, n);
+}
+
+template <PanelLoop kPanels>
 void avx2_gemm(const float* a, const float* b, float* c, int m, int k,
                int n) {
   // Unpacked B (activations, training weights): pack it into arena
@@ -204,7 +270,7 @@ void avx2_gemm(const float* a, const float* b, float* c, int m, int k,
   ArenaScope scratch;
   float* packed = scratch.floats(packed_b_floats(k, n));
   pack_b(b, k, n, packed);
-  avx2_gemm_packed(a, packed, c, m, k, n);
+  avx2_gemm_packed<kPanels>(a, packed, c, m, k, n);
 }
 
 void avx2_gemm_tn(const float* a, const float* b, float* c, int m, int k,
@@ -234,51 +300,80 @@ void avx2_gemm_tn(const float* a, const float* b, float* c, int m, int k,
 
 void avx2_gemm_nt(const float* a, const float* b, float* c, int m, int k,
                   int n) {
-  // Dot-product form; 4 output columns at a time share one load of the A
-  // chunk.
+  // Output columns in the lanes. B's first k8 columns are transposed
+  // into arena panels of 8 output columns (panel row kk holds B[j, kk]
+  // for the panel's j), and each A row keeps one accumulator per kk % 8,
+  // which it then adds in hsum8's tree. Lane j of accumulator l is thus
+  // exactly what lane l of a dot-product accumulator over (A row, B row
+  // j) would hold, so every output is the chain of operations of the
+  // one-output-at-a-time dot product: fused k8 chunks, hsum8's tree,
+  // then the k % 8 tail added in the same scalar statement.
+  ArenaScope scratch;
+  const int k8 = k - k % 8;
+  const int panels = (n + 7) / 8;
+  const std::size_t panel_floats = static_cast<std::size_t>(k8) * 8;
+  float* bt = scratch.floats(static_cast<std::size_t>(panels) * panel_floats);
+  for (int p = 0; p < panels; ++p) {
+    const int w = std::min(8, n - p * 8);
+    const float* b0 = b + static_cast<std::size_t>(p) * 8 * k;
+    float* dst = bt + p * panel_floats;
+    for (int kk = 0; kk < k8; kk += 8) {
+      __m256 t[8];
+      for (int l = 0; l < 8; ++l)
+        t[l] = l < w ? _mm256_loadu_ps(b0 + static_cast<std::size_t>(l) * k +
+                                       kk)
+                     : _mm256_setzero_ps();
+      transpose8(t);
+      for (int l = 0; l < 8; ++l)
+        _mm256_store_ps(dst + static_cast<std::size_t>(kk + l) * 8, t[l]);
+    }
+  }
   for (int i = 0; i < m; ++i) {
     const float* arow = a + static_cast<std::size_t>(i) * k;
     float* crow = c + static_cast<std::size_t>(i) * n;
-    int j = 0;
-    for (; j + 4 <= n; j += 4) {
-      const float* b0 = b + static_cast<std::size_t>(j) * k;
-      const float* b1 = b0 + k;
-      const float* b2 = b1 + k;
-      const float* b3 = b2 + k;
+    for (int p = 0; p < panels; ++p) {
+      const float* panel = bt + p * panel_floats;
       __m256 acc0 = _mm256_setzero_ps(), acc1 = _mm256_setzero_ps();
       __m256 acc2 = _mm256_setzero_ps(), acc3 = _mm256_setzero_ps();
-      int kk = 0;
-      for (; kk + 8 <= k; kk += 8) {
-        const __m256 av = _mm256_loadu_ps(arow + kk);
-        acc0 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b0 + kk), acc0);
-        acc1 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b1 + kk), acc1);
-        acc2 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b2 + kk), acc2);
-        acc3 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b3 + kk), acc3);
+      __m256 acc4 = _mm256_setzero_ps(), acc5 = _mm256_setzero_ps();
+      __m256 acc6 = _mm256_setzero_ps(), acc7 = _mm256_setzero_ps();
+      for (int kk = 0; kk < k8; kk += 8, panel += 64) {
+        const float* av = arow + kk;
+        acc0 = _mm256_fmadd_ps(_mm256_broadcast_ss(av + 0),
+                               _mm256_load_ps(panel + 0), acc0);
+        acc1 = _mm256_fmadd_ps(_mm256_broadcast_ss(av + 1),
+                               _mm256_load_ps(panel + 8), acc1);
+        acc2 = _mm256_fmadd_ps(_mm256_broadcast_ss(av + 2),
+                               _mm256_load_ps(panel + 16), acc2);
+        acc3 = _mm256_fmadd_ps(_mm256_broadcast_ss(av + 3),
+                               _mm256_load_ps(panel + 24), acc3);
+        acc4 = _mm256_fmadd_ps(_mm256_broadcast_ss(av + 4),
+                               _mm256_load_ps(panel + 32), acc4);
+        acc5 = _mm256_fmadd_ps(_mm256_broadcast_ss(av + 5),
+                               _mm256_load_ps(panel + 40), acc5);
+        acc6 = _mm256_fmadd_ps(_mm256_broadcast_ss(av + 6),
+                               _mm256_load_ps(panel + 48), acc6);
+        acc7 = _mm256_fmadd_ps(_mm256_broadcast_ss(av + 7),
+                               _mm256_load_ps(panel + 56), acc7);
       }
-      float s0 = hsum8(acc0), s1 = hsum8(acc1);
-      float s2 = hsum8(acc2), s3 = hsum8(acc3);
-      for (; kk < k; ++kk) {
-        const float av = arow[kk];
-        s0 += av * b0[kk];
-        s1 += av * b1[kk];
-        s2 += av * b2[kk];
-        s3 += av * b3[kk];
+      // hsum8(v) = ((v0 + v4) + (v2 + v6)) + ((v1 + v5) + (v3 + v7)).
+      const __m256 sum = _mm256_add_ps(
+          _mm256_add_ps(_mm256_add_ps(acc0, acc4), _mm256_add_ps(acc2, acc6)),
+          _mm256_add_ps(_mm256_add_ps(acc1, acc5), _mm256_add_ps(acc3, acc7)));
+      const int j0 = p * 8;
+      const int w = std::min(8, n - j0);
+      if (w == 8 && k8 == k) {
+        _mm256_storeu_ps(crow + j0, sum);
+        continue;
       }
-      crow[j] = s0;
-      crow[j + 1] = s1;
-      crow[j + 2] = s2;
-      crow[j + 3] = s3;
-    }
-    for (; j < n; ++j) {
-      const float* brow = b + static_cast<std::size_t>(j) * k;
-      __m256 acc = _mm256_setzero_ps();
-      int kk = 0;
-      for (; kk + 8 <= k; kk += 8)
-        acc = _mm256_fmadd_ps(_mm256_loadu_ps(arow + kk),
-                              _mm256_loadu_ps(brow + kk), acc);
-      float s = hsum8(acc);
-      for (; kk < k; ++kk) s += arow[kk] * brow[kk];
-      crow[j] = s;
+      alignas(32) float lanes[8];
+      _mm256_store_ps(lanes, sum);
+      for (int l = 0; l < w; ++l) {
+        const float* brow = b + static_cast<std::size_t>(j0 + l) * k;
+        float s = lanes[l];
+        for (int kk = k8; kk < k; ++kk) s += arow[kk] * brow[kk];
+        crow[j0 + l] = s;
+      }
     }
   }
 }
@@ -329,41 +424,69 @@ void softmax_row_scalar(float* row, int cols) {
   for (int j = 0; j < cols; ++j) row[j] *= inv;
 }
 
-void avx2_softmax_rows(float* x, int rows, int cols) {
-  for (int i = 0; i < rows; ++i) {
-    float* row = x + static_cast<std::size_t>(i) * cols;
-    if (!all_finite(row, cols)) {
-      // NaN / +-Inf rows poison exactly like the scalar backend.
-      softmax_row_scalar(row, cols);
-      continue;
-    }
-    // Fused pass structure: vector max, then exp+accumulate, then scale.
-    __m256 vmax = _mm256_set1_ps(row[0]);
-    int j = 0;
-    for (; j + 8 <= cols; j += 8)
-      vmax = _mm256_max_ps(vmax, _mm256_loadu_ps(row + j));
-    alignas(32) float lanes[8];
-    _mm256_store_ps(lanes, vmax);
-    float row_max = lanes[0];
-    for (int l = 1; l < 8; ++l) row_max = std::max(row_max, lanes[l]);
-    for (; j < cols; ++j) row_max = std::max(row_max, row[j]);
+/// total[r] = row[r][0] + row[r][1] + ... + row[r][cols - 1], added from
+/// 0 left to right in each lane: eight rows' in-order scalar sums run as
+/// eight interleaved chains, so no add waits on its row's last one.
+void row_totals8(float* const (&row)[8], int cols, float* total) {
+  __m256 acc = _mm256_setzero_ps();
+  int j = 0;
+  for (; j + 8 <= cols; j += 8) {
+    __m256 t[8];
+    for (int r = 0; r < 8; ++r) t[r] = _mm256_loadu_ps(row[r] + j);
+    transpose8(t);
+    for (int c = 0; c < 8; ++c) acc = _mm256_add_ps(acc, t[c]);
+  }
+  for (; j < cols; ++j)
+    acc = _mm256_add_ps(
+        acc, _mm256_setr_ps(row[0][j], row[1][j], row[2][j], row[3][j],
+                            row[4][j], row[5][j], row[6][j], row[7][j]));
+  _mm256_store_ps(total, acc);
+}
 
-    const __m256 vm = _mm256_set1_ps(row_max);
-    j = 0;
-    for (; j + 8 <= cols; j += 8)
-      _mm256_storeu_ps(row + j,
-                       exp8(_mm256_sub_ps(_mm256_loadu_ps(row + j), vm)));
-    for (; j < cols; ++j) row[j] = std::exp(row[j] - row_max);
-    // The total accumulates scalar, left to right, NOT as a vector
+void avx2_softmax_rows(float* x, int rows, int cols) {
+  const int vector_cols = cols - cols % 8;
+  for (int i0 = 0; i0 < rows; i0 += 8) {
+    // Lanes past the last row re-read it; their totals go unused.
+    const int h = std::min(8, rows - i0);
+    float* row[8];
+    int finite = 0;
+    for (int r = 0; r < 8; ++r) {
+      row[r] = x + static_cast<std::size_t>(i0 + std::min(r, h - 1)) * cols;
+      if (r >= h) continue;
+      if (!all_finite(row[r], cols)) {
+        // NaN / +-Inf rows poison exactly like the scalar backend.
+        softmax_row_scalar(row[r], cols);
+        continue;
+      }
+      finite |= 1 << r;
+      // Vector max, then exp: vector lanes, then a std::exp tail.
+      __m256 vmax = _mm256_set1_ps(row[r][0]);
+      for (int j = 0; j < vector_cols; j += 8)
+        vmax = _mm256_max_ps(vmax, _mm256_loadu_ps(row[r] + j));
+      alignas(32) float lanes[8];
+      _mm256_store_ps(lanes, vmax);
+      float row_max = lanes[0];
+      for (int l = 1; l < 8; ++l) row_max = std::max(row_max, lanes[l]);
+      for (int j = vector_cols; j < cols; ++j)
+        row_max = std::max(row_max, row[r][j]);
+      const __m256 vm = _mm256_set1_ps(row_max);
+      for (int j = 0; j < vector_cols; j += 8)
+        _mm256_storeu_ps(row[r] + j,
+                         exp8(_mm256_sub_ps(_mm256_loadu_ps(row[r] + j), vm)));
+      for (int j = vector_cols; j < cols; ++j)
+        row[r][j] = std::exp(row[r][j] - row_max);
+    }
+    if (finite == 0) continue;
+    // Each total adds its row left to right from 0, NOT as a vector
     // reduction: in-order summation makes the result independent of how
     // the row length falls against the vector width, which preserves the
     // masking invariant (a padded row whose masked tail underflows to ~0
     // sums to the same total as the unpadded row) that the bert masking
-    // tests pin down. exp dominates this loop; the scalar sum is noise.
-    float total = 0.0f;
-    for (int jj = 0; jj < cols; ++jj) total += row[jj];
-    const float inv = 1.0f / total;
-    avx2_scale(row, inv, cols);
+    // tests pin down.
+    alignas(32) float total[8];
+    row_totals8(row, cols, total);
+    for (int r = 0; r < h; ++r)
+      if (finite >> r & 1) avx2_scale(row[r], 1.0f / total[r], cols);
   }
 }
 
@@ -542,8 +665,8 @@ void avx2_gelu_backward(const float* dy, const float* x, float* dx,
 
 const KernelTable& avx2_table() {
   static const KernelTable table{
-      avx2_gemm,
-      avx2_gemm_packed,
+      avx2_gemm<gemm_panels8>,
+      avx2_gemm_packed<gemm_panels8>,
       avx2_gemm_tn,
       avx2_gemm_nt,
       avx2_add_row_bias,
@@ -557,6 +680,18 @@ const KernelTable& avx2_table() {
   };
   return table;
 }
+
+#if defined(REBERT_HAVE_AVX512_BUILD)
+const KernelTable& avx2_wide_table() {
+  static const KernelTable table = [] {
+    KernelTable wide_table = avx2_table();
+    wide_table.gemm = avx2_gemm<wide::gemm_panels>;
+    wide_table.gemm_packed = avx2_gemm_packed<wide::gemm_panels>;
+    return wide_table;
+  }();
+  return table;
+}
+#endif
 
 }  // namespace rebert::kernels
 

@@ -114,7 +114,8 @@ void ShardedPredictionCache::insert(std::uint64_t key, double score) {
   util::MutexLock lock(shard.mu);
   // emplace keeps the first value on duplicate keys; racing inserts carry
   // identical scores (deterministic inference), so either winning is fine.
-  shard.entries.emplace(key, score);
+  if (shard.entries.emplace(key, score).second)
+    inserts_.fetch_add(1);
 }
 
 std::size_t ShardedPredictionCache::size() const {

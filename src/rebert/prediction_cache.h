@@ -88,6 +88,12 @@ class ShardedPredictionCache {
   std::uint64_t misses() const {
     return misses_.load(std::memory_order_relaxed);
   }
+  /// Entries ever added to the shards (a duplicate insert adds none).
+  /// Never reset, not even by clear(): an export that starts after this
+  /// read holds every entry it counts that no clear() has dropped since.
+  std::uint64_t inserts() const {
+    return inserts_.load();
+  }
   /// hits / (hits + misses); 0 before any lookup. The sum is taken in
   /// doubles so hits + misses cannot overflow the division.
   double hit_rate() const;
@@ -160,6 +166,7 @@ class ShardedPredictionCache {
   static void bump(std::atomic<std::uint64_t>& counter);
   mutable std::atomic<std::uint64_t> hits_{0};
   mutable std::atomic<std::uint64_t> misses_{0};
+  std::atomic<std::uint64_t> inserts_{0};
   std::atomic<std::uint64_t> warm_rejected_{0};
   std::vector<std::unique_ptr<Shard>> shards_;
   std::uint64_t shard_mask_ = 0;

@@ -212,6 +212,10 @@ class InferenceEngine {
   /// while requests are in flight — the cache is read under its shard locks.
   void save_cache(const std::string& path) const;
 
+  /// Entries the prediction cache has gained since construction; a
+  /// save_cache() that starts after this read writes every one of them.
+  std::uint64_t cache_inserts() const { return cache_.inserts(); }
+
   /// Pre-load a bench context (useful before latency measurements so the
   /// first timed request does not pay tokenization). Returns its bit count.
   int warm(const std::string& bench);

@@ -92,6 +92,8 @@ void ServeLoop::enable_snapshots(std::string path, int every_n) {
 
 void ServeLoop::snapshot_cache(bool force) {
   if (snapshot_path_.empty()) return;
+  // Read before the save starts, so the save holds every entry counted.
+  const std::uint64_t inserts = engine_.cache_inserts();
   if (!snapshot_mu_.try_lock()) {
     // Another thread is mid-save. A cadence save can skip (the next one
     // covers it); a shutdown save must land, so wait our turn.
@@ -99,13 +101,20 @@ void ServeLoop::snapshot_cache(bool force) {
     snapshot_mu_.lock();
   }
   // Both branches above join holding snapshot_mu_; everything that can
-  // throw is caught before the unlock.
-  try {
-    engine_.save_cache(snapshot_path_);
-    LOG_DEBUG << "serve: cache snapshot written to " << snapshot_path_;
-  } catch (const std::exception& e) {
-    LOG_WARN << "serve: cache snapshot to " << snapshot_path_
-             << " failed: " << e.what();
+  // throw is caught before the unlock. A cache that gained no entry since
+  // the last save has nothing the file lacks (health probes and stats
+  // lines count toward the cadence but add nothing), so it skips. The
+  // count only grows; a caller that read it before another saved sees no
+  // news and skips.
+  if (inserts > inserts_at_last_save_) {
+    try {
+      engine_.save_cache(snapshot_path_);
+      inserts_at_last_save_ = inserts;
+      LOG_DEBUG << "serve: cache snapshot written to " << snapshot_path_;
+    } catch (const std::exception& e) {
+      LOG_WARN << "serve: cache snapshot to " << snapshot_path_
+               << " failed: " << e.what();
+    }
   }
   snapshot_mu_.unlock();
 }

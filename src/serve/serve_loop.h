@@ -56,7 +56,9 @@ class ServeLoop {
 
   /// Persist the engine's prediction cache to `path` after every
   /// `every_n` answered requests, and once more when a serving loop exits
-  /// cleanly (EOF, quit, stop()). Snapshots are atomic (temp + fsync +
+  /// cleanly (EOF, quit, stop()). A save is skipped when the cache gained
+  /// no entry since the last one, so idle lines (health probes, stats)
+  /// never rewrite the file. Snapshots are atomic (temp + fsync +
   /// rename), so a crash mid-snapshot leaves the previous one intact.
   /// Call before serving; `every_n < 1` snapshots only on shutdown.
   void enable_snapshots(std::string path, int every_n);
@@ -94,6 +96,8 @@ class ServeLoop {
   int snapshot_every_ = 0;
   std::atomic<std::uint64_t> answered_since_snapshot_{0};
   util::Mutex snapshot_mu_{"serve.snapshot"};  // serializes actual saves
+  // The engine's cache_inserts() read before the last save that landed.
+  std::uint64_t inserts_at_last_save_ GUARDED_BY(snapshot_mu_) = 0;
 };
 
 }  // namespace rebert::serve

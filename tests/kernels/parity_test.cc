@@ -7,19 +7,35 @@
 // Also pinned here: NaN/Inf propagation matches across backends (so the
 // graphcheck tripwire fires identically), and each backend is
 // bit-deterministic (identical output for identical input, run to run).
+// And bitwise, not within a tolerance: the avx2 backend's gemm_nt and
+// softmax equal the 256-bit code they replaced (frozen_avx2.cc), and on
+// AVX-512F hosts its 512-bit table equals its 256-bit one.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
 
+#include "kernels/aligned.h"
 #include "kernels/backend.h"
 #include "kernels/kernels.h"
 #include "util/rng.h"
 
 namespace rebert::kernels {
+
+#if defined(REBERT_HAVE_AVX2_BUILD)
+// The dot-product gemm_nt and the one-row-at-a-time softmax that the
+// column-lane gemm_nt and the interleaved softmax sums replaced, frozen in
+// frozen_avx2.cc.
+namespace frozen_avx2 {
+void gemm_nt(const float* a, const float* b, float* c, int m, int k, int n);
+void softmax_rows(float* x, int rows, int cols);
+}  // namespace frozen_avx2
+#endif
+
 namespace {
 
 bool near(float simd, float ref) {
@@ -331,6 +347,137 @@ TEST_F(ParityTest, EachBackendIsBitDeterministic) {
     table->softmax_rows(s2.data(), m, k);
     EXPECT_EQ(
         std::memcmp(s1.data(), s2.data(), s1.size() * sizeof(float)), 0);
+  }
+}
+
+// ---- the avx2 backend's rewrites and wide table compute the same bits ----
+
+void expect_bitwise(const std::vector<float>& got,
+                    const std::vector<float>& want, const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i)
+    ASSERT_EQ(std::memcmp(&got[i], &want[i], sizeof(float)), 0)
+        << what << " differs at flat index " << i << ": " << got[i]
+        << " vs " << want[i];
+}
+
+/// Rows of scaled Gaussians with non-finite rows mixed in: row 2 holds a
+/// NaN, row 9 a +Inf and row 13 a -Inf, so with 8-row blocks a poisoned
+/// row sits inside the first two blocks, not only at the edges.
+std::vector<float> softmax_input(int rows, int cols, util::Rng& rng) {
+  std::vector<float> x =
+      randn(static_cast<std::size_t>(rows) * cols, rng, 4.0f);
+  const auto poison = [&](int row, float value) {
+    if (row < rows) x[static_cast<std::size_t>(row) * cols + cols / 2] = value;
+  };
+  poison(2, std::numeric_limits<float>::quiet_NaN());
+  poison(9, std::numeric_limits<float>::infinity());
+  poison(13, -std::numeric_limits<float>::infinity());
+  return x;
+}
+
+/// The avx2 tables against the frozen 256-bit code: every table the
+/// avx2 backend can run (the wide one too, where the CPU has it).
+class FrozenAvx2Test : public ::testing::Test {
+ protected:
+  void SetUp() override {
+#if defined(REBERT_HAVE_AVX2_BUILD)
+    if (!avx2_available()) GTEST_SKIP() << "no AVX2+FMA on this host";
+    tables = {&avx2_table(), &table_for(Backend::kAvx2)};
+#else
+    GTEST_SKIP() << "built without the AVX2 TU";
+#endif
+  }
+  std::vector<const KernelTable*> tables;
+};
+
+TEST_F(FrozenAvx2Test, GemmNtMatchesTheDotProductForm) {
+#if defined(REBERT_HAVE_AVX2_BUILD)
+  util::Rng rng(120);
+  // k % 8 != 0 exercises the scalar tail after the vector chunks.
+  const Shape shapes[] = {{1, 1, 1},   {3, 7, 5},    {5, 8, 9},
+                          {7, 16, 28}, {4, 17, 13},  {9, 23, 54},
+                          {6, 16, 160}, {2, 64, 33}, {11, 45, 8}};
+  for (const Shape& s : shapes) {
+    const auto a = randn(static_cast<std::size_t>(s.m) * s.k, rng);
+    const auto b = randn(static_cast<std::size_t>(s.n) * s.k, rng);
+    std::vector<float> want(static_cast<std::size_t>(s.m) * s.n);
+    frozen_avx2::gemm_nt(a.data(), b.data(), want.data(), s.m, s.k, s.n);
+    for (const KernelTable* table : tables) {
+      std::vector<float> got(want.size());
+      table->gemm_nt(a.data(), b.data(), got.data(), s.m, s.k, s.n);
+      expect_bitwise(got, want,
+                     "gemm_nt " + std::to_string(s.m) + "x" +
+                         std::to_string(s.k) + "x" + std::to_string(s.n));
+    }
+  }
+#endif
+}
+
+TEST_F(FrozenAvx2Test, SoftmaxMatchesTheOneRowAtATimeForm) {
+#if defined(REBERT_HAVE_AVX2_BUILD)
+  util::Rng rng(121);
+  for (const int rows : {1, 3, 8, 9, 16, 19}) {
+    for (const int cols : {1, 5, 8, 15, 16, 17, 24, 28, 33, 54}) {
+      const auto x = softmax_input(rows, cols, rng);
+      auto want = x;
+      frozen_avx2::softmax_rows(want.data(), rows, cols);
+      for (const KernelTable* table : tables) {
+        auto got = x;
+        table->softmax_rows(got.data(), rows, cols);
+        expect_bitwise(got, want,
+                       "softmax " + std::to_string(rows) + "x" +
+                           std::to_string(cols));
+      }
+    }
+  }
+#endif
+}
+
+/// The 512-bit table against the 256-bit one.
+class WideAvx2Test : public ::testing::Test {
+ protected:
+  void SetUp() override {
+#if defined(REBERT_HAVE_AVX512_BUILD)
+    if (!avx2_runs_wide())
+      GTEST_SKIP() << "no AVX-512F on this host: the avx2 backend runs "
+                      "256 bits wide only, so there is no wide table to "
+                      "compare";
+    narrow = &avx2_table();
+    wide = &avx2_wide_table();
+#else
+    GTEST_SKIP() << "built without the 512-bit avx2 TU";
+#endif
+  }
+  const KernelTable* narrow = nullptr;
+  const KernelTable* wide = nullptr;
+};
+
+TEST_F(WideAvx2Test, WideTableIsWhatTheAvx2BackendRuns) {
+  EXPECT_EQ(&table_for(Backend::kAvx2), wide);
+  EXPECT_STREQ(backend_name(Backend::kAvx2), "avx2");
+}
+
+TEST_F(WideAvx2Test, GemmIsBitwiseEqual) {
+  util::Rng rng(122);
+  // m, k, n off the 6-row strips, 8-lane vectors and 16/32-column panels.
+  std::vector<Shape> shapes(std::begin(kShapes), std::end(kShapes));
+  shapes.insert(shapes.end(), {{7, 5, 33}, {11, 13, 47}, {25, 31, 50},
+                               {6, 16, 32}, {13, 64, 79}, {45, 64, 192}});
+  for (const Shape& s : shapes) {
+    const auto a = randn(static_cast<std::size_t>(s.m) * s.k, rng);
+    const auto b = randn(static_cast<std::size_t>(s.k) * s.n, rng);
+    AlignedFloatVector packed(packed_b_floats(s.k, s.n));
+    pack_b(b.data(), s.k, s.n, packed.data());
+    const std::string what = std::to_string(s.m) + "x" +
+                             std::to_string(s.k) + "x" + std::to_string(s.n);
+    std::vector<float> want(static_cast<std::size_t>(s.m) * s.n);
+    std::vector<float> got(want.size());
+    narrow->gemm(a.data(), b.data(), want.data(), s.m, s.k, s.n);
+    wide->gemm(a.data(), b.data(), got.data(), s.m, s.k, s.n);
+    expect_bitwise(got, want, "gemm " + what);
+    wide->gemm_packed(a.data(), packed.data(), got.data(), s.m, s.k, s.n);
+    expect_bitwise(got, want, "gemm_packed " + what);
   }
 }
 

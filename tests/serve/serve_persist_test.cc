@@ -193,6 +193,38 @@ TEST(ServePersistTest, EveryNBelowOneSavesOnlyOnShutdown) {
   std::remove(path.c_str());
 }
 
+TEST(ServePersistTest, OnlyACacheMissMakesASnapshotWrite) {
+  // Cadence 1, so every answered line asks for a save, but health and
+  // stats lines miss nothing: neither the cadence saves nor the shutdown
+  // save may write the file.
+  const std::string path = temp_path("idle_lines.rbpc");
+  std::remove(path.c_str());
+
+  InferenceEngine engine(small_options(2));
+  ServeLoop loop(engine);
+  loop.enable_snapshots(path, /*every_n=*/1);
+  const std::vector<std::string> bits = engine.bit_names("b03");
+  const auto run_lines = [&](const std::string& script) {
+    std::istringstream in(script);
+    std::ostringstream out;
+    return loop.run(in, out);
+  };
+
+  EXPECT_EQ(run_lines("health\nstats\nhealth\nstats\nhealth\n"), 5u);
+  EXPECT_FALSE(std::ifstream(path).good());
+
+  // One score that misses the cache is news, and the save writes it.
+  EXPECT_EQ(run_lines("score b03 " + bits[0] + " " + bits[1] + "\n"), 1u);
+  ASSERT_EQ(engine.stats().cache_misses, 1u);
+  InferenceEngine warm(small_options(1));
+  EXPECT_EQ(warm.load_cache(path), 1u);
+
+  // Saved: with the file gone, idle lines still do not bring it back.
+  std::remove(path.c_str());
+  EXPECT_EQ(run_lines("stats\nhealth\n"), 2u);
+  EXPECT_FALSE(std::ifstream(path).good());
+}
+
 TEST(ServePersistTest, ConcurrentCadenceSavesCoalesceWithoutCorruption) {
   // Cadence 1 means every answered request wants a snapshot; with several
   // connections answering concurrently the try-lock coalesces the writes.
